@@ -4,6 +4,13 @@ Every bound in this package reduces to eigendecompositions of small real
 symmetric matrices.  The eigensolver is a cyclic Jacobi iteration with a
 fixed row-major sweep order, so its output is a pure function of the input
 across runs and platforms; the seeded fuzz harness relies on that.
+
+The solver rotates rows of Python floats and writes each new row into the
+matching column, so it relies on its input being bitwise symmetric: entry
+(i, j) and entry (j, i) are the same float.  ``SymmetricMatrix.__init__``
+guarantees this by averaging with the transpose.  Any other way of making a
+``SymmetricMatrix`` (a trusted constructor that skips validation, say) must
+keep that property, or the eigenvalue and eigenvector bits change.
 """
 
 from __future__ import annotations
@@ -161,22 +168,45 @@ def strict_positivity_tolerance(matrix: SymmetricMatrix) -> float:
     return 1e-12 * (1.0 + matrix.norm_max)
 
 
-def _cyclic_jacobi(a: np.ndarray):
+def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
+    """Eigenvalues (ascending) and, if ``vectors``, eigenvector columns of ``a``.
+
+    ``a`` must be bitwise symmetric, as ``SymmetricMatrix`` entries are, and
+    any trusted constructor added later must keep them so.  Each rotation
+    computes the two new rows once and writes them into the matching
+    columns; that equals a row update followed by a column update only when
+    ``a[i, j]`` and ``a[j, i]`` are the same float.  The rotations run on
+    Python float lists and numpy computes only the per-sweep stopping test.
+    The input is prescaled by an exact power of two, so the sums of squares
+    in that test neither overflow nor underflow; scaling by a power of two is
+    exact, so away from subnormal numbers every bit matches an unscaled run.
+    ``a`` is not modified.  With ``vectors=False`` the
+    eigenvectors are not accumulated and ``None`` stands in their place; the
+    eigenvalues are the same bits either way.
+    """
     n = a.shape[0]
-    q = np.eye(n)
     if n == 1:
-        return np.diag(a).copy(), q
-    threshold = _OFFDIAG_REL * float(np.linalg.norm(a))
+        return np.diag(a).copy(), (np.eye(1) if vectors else None)
+    # max|a| * scale lies in [1/2, 1); a subnormal max|a| stops at the largest
+    # finite scale, 2**1023, which still lifts it to 2**-51 or more.  frexp(0.0)
+    # gives exponent 0, so the zero matrix keeps scale 1.
+    scale = math.ldexp(1.0, min(-math.frexp(float(np.abs(a).max()))[1], 1023))
+    scaled = a * scale
+    threshold = _OFFDIAG_REL * float(np.linalg.norm(scaled))
+    rows = scaled.tolist()
+    qt = np.eye(n).tolist() if vectors else None  # row k holds column k of Q
     for _ in range(_SWEEP_CAP):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
+        off = math.sqrt(2.0 * float(np.sum(np.triu(np.array(rows), 1) ** 2)))
         if off <= threshold:
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
-                apr = a[p, r]
+                row_p = rows[p]
+                apr = row_p[r]
                 if apr == 0.0:
                     continue
-                diff = a[r, r] - a[p, p]
+                row_r = rows[r]
+                diff = row_r[r] - row_p[p]
                 if abs(apr) < 1e-36 * abs(diff):
                     t = apr / diff  # angle underflows; first-order tangent
                 else:
@@ -186,25 +216,31 @@ def _cyclic_jacobi(a: np.ndarray):
                         t = -t
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                row_p = a[p, :].copy()
-                row_r = a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                col_p = a[:, p].copy()
-                col_r = a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                a[p, r] = 0.0
-                a[r, p] = 0.0
-                q_p = q[:, p].copy()
-                q_r = q[:, r].copy()
-                q[:, p] = c * q_p - s * q_r
-                q[:, r] = s * q_p + c * q_r
+                new_p = [c * u - s * v for u, v in zip(row_p, row_r)]
+                new_r = [s * u + c * v for u, v in zip(row_p, row_r)]
+                # the 2x2 block gets the column update on top of the row update
+                new_p[p] = c * new_p[p] - s * new_p[r]
+                new_r[r] = s * new_r[p] + c * new_r[r]
+                new_p[r] = 0.0
+                new_r[p] = 0.0
+                rows[p] = new_p
+                rows[r] = new_r
+                for row_k, u, v in zip(rows, new_p, new_r):
+                    row_k[p] = u
+                    row_k[r] = v
+                if vectors:
+                    q_p = qt[p]
+                    q_r = qt[r]
+                    qt[p] = [c * u - s * v for u, v in zip(q_p, q_r)]
+                    qt[r] = [s * u + c * v for u, v in zip(q_p, q_r)]
     else:
         raise ConvergenceError("Jacobi sweep cap reached without convergence")
-    lam = np.diag(a).copy()
+    lam = np.array([rows[k][k] for k in range(n)])
     order = np.argsort(lam, kind="stable")
-    return lam[order], q[:, order]
+    lam = lam[order] / scale
+    if not vectors:
+        return lam, None
+    return lam, np.array(qt)[order].T
 
 
 def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
@@ -212,10 +248,11 @@ def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
 
     Sweeps run in row-major pair order until the off-diagonal Frobenius mass
     drops below 1e-14 times the Frobenius norm of the input, capped at 100
-    sweeps.  Deterministic for a fixed input.
+    sweeps.  The input is first scaled by an exact power of two, so entries
+    from subnormal up to 1e308 are handled.  Deterministic for a fixed input.
     """
     if matrix._decomposition is None:
-        lam, q = _cyclic_jacobi(matrix.entries.copy())
+        lam, q = _cyclic_jacobi(matrix.entries)
         lam.setflags(write=False)
         q.setflags(write=False)
         matrix._decomposition = SpectralDecomposition(lam, q)
@@ -279,9 +316,9 @@ def loewner_compare(lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol: float | Non
         tol = 1e-8 * (1.0 + max(lhs.norm_max, rhs.norm_max))
     if tol < 0.0:
         raise BadParameter("tolerance must be nonnegative")
-    dec = eigendecompose(rhs - lhs)
-    gap_min = float(dec.eigenvalues[0])
-    gap_max = float(dec.eigenvalues[-1])
+    gaps, _ = _cyclic_jacobi((rhs - lhs).entries, vectors=False)
+    gap_min = float(gaps[0])
+    gap_max = float(gaps[-1])
     le = gap_min >= -tol
     ge = gap_max <= tol
     if le and ge:

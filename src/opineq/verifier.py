@@ -80,6 +80,10 @@ DEFAULT_MAPS = ("corner", "vecstate", "trace", "pinching")
 POWER_CHAIN_RS = (-2.0, -1.0, 0.5, 2.0, 3.0)
 TSALLIS_PS = (0.5, -0.5, 1.0, -1.0)
 DENSITY_EIGENVALUE_FLOOR = 1e-3
+# Campaign size limits.  A trial at dim 32 takes seconds; a spec such as
+# dims 2..10000 would run for hours, so it is rejected before the first trial.
+MAX_DIM = 32
+MAX_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,13 @@ class TrialSpec:
     tolerance: float = 1e-8
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise BadParameter("trials must be at least 1")
-        if self.dim_range[0] < 2 or self.dim_range[0] > self.dim_range[1]:
-            raise BadParameter(f"bad dimension range {self.dim_range!r}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise BadParameter(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
+        lo, hi = self.dim_range
+        if not 2 <= lo <= hi <= MAX_DIM:
+            raise BadParameter(
+                f"bad dimension range {self.dim_range!r}: need 2 <= lo <= hi <= {MAX_DIM}"
+            )
         if self.tolerance <= 0.0:
             raise BadParameter("tolerance must be positive")
         if not self.function_set or not self.map_set:

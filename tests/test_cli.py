@@ -160,6 +160,15 @@ class TestFuzzCommand:
     def test_bad_dims_exit_2(self, tmp_path):
         assert main(["fuzz", "--dims", "nope", "--out", str(tmp_path / "r.json")]) == 2
 
+    def test_oversized_dims_exit_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        def no_trial(*_args):
+            raise AssertionError("an oversized spec must be rejected before its first trial")
+
+        monkeypatch.setattr("opineq.verifier._run_trial", no_trial)
+        assert main(["fuzz", "--dims", "2..10000", "--out", str(tmp_path / "r.json")]) == 2
+        assert "dimension range" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestPaperExamplesCommand:
     def test_all_reference_values_reproduce(self, capsys):

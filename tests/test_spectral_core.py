@@ -23,6 +23,7 @@ from opineq import (
     natural_power,
     random_symmetric_with_spectrum,
 )
+from opineq.spectral import _cyclic_jacobi
 
 
 def inverse_2x2_oracle(a):
@@ -105,6 +106,41 @@ class TestEigendecompose:
         d2 = eigendecompose(SymmetricMatrix(entries))
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+class TestExtremeScales:
+    """The off-diagonal sum of squares must neither overflow nor underflow."""
+
+    @pytest.mark.parametrize("exponent", [150, 160, 170, 200, 300, -150, -160, -170, -200, -300])
+    def test_two_by_two_at_scale(self, exponent):
+        factor = 10.0**exponent
+        matrix = SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]]) * factor
+        expected = np.array([-1.0, 3.0]) * factor
+        dec = eigendecompose(matrix)
+        assert np.allclose(dec.eigenvalues, expected, rtol=1e-14, atol=0.0)
+        assert np.allclose(np.abs(dec.eigenvectors), 0.5**0.5, rtol=1e-14, atol=0.0)
+        values, _ = _cyclic_jacobi(matrix.entries, vectors=False)
+        assert np.allclose(values, expected, rtol=1e-14, atol=0.0)
+        verdict = loewner_compare(SymmetricMatrix(np.zeros((2, 2))), matrix, tol=0.0)
+        assert verdict.relation is LoewnerRelation.INCOMPARABLE
+        assert verdict.gap_min_eig == values[0]
+        assert verdict.gap_max_eig == values[1]
+
+    @pytest.mark.parametrize("power", [500, 1000, -500, -1000])
+    def test_power_of_two_scaling_is_exact(self, power):
+        matrix = random_symmetric_with_spectrum(derive_seed(77, power), 6, -2.0, 3.0)
+        scaled = SymmetricMatrix(np.ldexp(matrix.entries, power))
+        dec = eigendecompose(matrix)
+        dec_scaled = eigendecompose(scaled)
+        assert np.array_equal(dec_scaled.eigenvalues, np.ldexp(dec.eigenvalues, power))
+        assert np.array_equal(dec_scaled.eigenvectors, dec.eigenvectors)
+        values, _ = _cyclic_jacobi(scaled.entries, vectors=False)
+        assert np.array_equal(values, dec_scaled.eigenvalues)
+
+    def test_subnormal_entries(self):
+        tiny = 2.0**-1040
+        dec = eigendecompose(SymmetricMatrix(np.full((4, 4), tiny)))
+        assert np.array_equal(dec.eigenvalues, [0.0, 0.0, 0.0, 4.0 * tiny])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,0 +1,121 @@
+"""Byte-identity of the eigensolver and of campaign reports.
+
+The digests below were recorded with the numpy-slice Jacobi kernel that the
+list-based one replaced.  Any change to the kernel's pair order, stopping
+test or rotation formulas changes them; a change that keeps all three must
+leave them untouched.  The norm in the stopping test and the matrix products
+in the campaigns go through BLAS, so another numpy or BLAS build may need
+new digests; the comparisons between the kernel's two paths hold on any.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from opineq import (
+    SymmetricMatrix,
+    TrialSpec,
+    eigendecompose,
+    loewner_compare,
+    run_campaign,
+)
+from opineq.cli import render_json
+from opineq.spectral import _cyclic_jacobi
+
+EIGEN_SET_SHA256 = "226ff08ec77e88cbd0cbb5719c9d62a4e8b792af362e370ccfa6b4b884c16bb0"
+CAMPAIGN_SHA256 = {
+    42: "5cab1b927a5f7666322a14624b20f7b49ae7908162b4d83260354ec2dd95d387",
+    7: "34ea43e54a2e610745b558fe41a6e7e0a72a5cf9be675a77fb85766991c43b2c",
+}
+CAMPAIGN_SPECS = {
+    42: TrialSpec(seed=42, trials=24),
+    7: TrialSpec(seed=7, dim_range=(8, 16), trials=6),
+}
+
+
+def _random_symmetric(rng, n):
+    g = rng.standard_normal((n, n))
+    return g + g.T
+
+
+def eigen_set():
+    """Seeded symmetric matrices covering the shapes the kernel must handle."""
+    rng = np.random.default_rng([20170529, 1])
+    out = []
+    for n in range(1, 17):
+        out.append(_random_symmetric(rng, n))
+        out.append(np.diag(rng.uniform(-3.0, 3.0, n)))
+        # repeated eigenvalue: c I + d v v^T has c with multiplicity n - 1
+        v = rng.standard_normal(n)
+        out.append(1.5 * np.eye(n) + 0.75 * np.outer(v, v))
+        # clustered spectrum around 1
+        out.append(np.eye(n) + 1e-9 * _random_symmetric(rng, n))
+        # spectrum spread over 1e-9 .. 1e9
+        wide = np.diag(np.logspace(-9.0, 9.0, n)) + 1e-3 * _random_symmetric(rng, n)
+        out.append(wide)
+    for n in (1, 3, 8):
+        out.append(np.zeros((n, n)))
+    for n in (4, 8):
+        # every eigenvalue of a 2x2 block repeated n / 2 times
+        out.append(np.kron(np.eye(n // 2), _random_symmetric(rng, 2)))
+    out.append(3.0 * np.eye(5))
+    out.append(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    out.append(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    out.append(np.array([[2.0, 1e-300], [1e-300, 1.0]]))
+    return out
+
+
+def eigen_set_digest() -> str:
+    digest = hashlib.sha256()
+    for entries in eigen_set():
+        dec = eigendecompose(SymmetricMatrix(entries))
+        digest.update(dec.eigenvalues.tobytes())
+        digest.update(dec.eigenvectors.tobytes())
+    return digest.hexdigest()
+
+
+def campaign_digest(seed: int, tmp_path) -> str:
+    report = run_campaign(CAMPAIGN_SPECS[seed])
+    csv_path = tmp_path / f"rows{seed}.csv"
+    report.write_csv(csv_path)
+    digest = hashlib.sha256()
+    digest.update((render_json(report.to_dict()) + "\n").encode())
+    digest.update(csv_path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_eigendecompose_bytes_pinned():
+    assert eigen_set_digest() == EIGEN_SET_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(CAMPAIGN_SHA256))
+def test_campaign_report_bytes_pinned(seed, tmp_path):
+    assert campaign_digest(seed, tmp_path) == CAMPAIGN_SHA256[seed]
+
+
+def test_eigenvalues_only_path_matches_full_path_bitwise():
+    for entries in eigen_set():
+        matrix = SymmetricMatrix(entries)
+        values, vectors = _cyclic_jacobi(matrix.entries, vectors=False)
+        assert vectors is None
+        assert values.tobytes() == eigendecompose(matrix).eigenvalues.tobytes()
+
+
+def test_loewner_gaps_match_full_eigendecomposition_bitwise():
+    rng = np.random.default_rng([20170529, 2])
+    for n in range(1, 17):
+        lhs = SymmetricMatrix(_random_symmetric(rng, n))
+        rhs = SymmetricMatrix(_random_symmetric(rng, n))
+        verdict = loewner_compare(lhs, rhs)
+        spectrum = eigendecompose(rhs - lhs).eigenvalues
+        assert verdict.gap_min_eig == float(spectrum[0])
+        assert verdict.gap_max_eig == float(spectrum[-1])
+
+
+def test_kernel_leaves_its_input_untouched():
+    matrix = SymmetricMatrix(_random_symmetric(np.random.default_rng(3), 6))
+    before = matrix.entries.tobytes()
+    eigendecompose(matrix)
+    _cyclic_jacobi(matrix.entries, vectors=False)
+    assert matrix.entries.tobytes() == before

@@ -15,6 +15,7 @@ from opineq import (
     replay_failure,
     run_campaign,
 )
+from opineq.verifier import MAX_DIM, MAX_TRIALS
 
 
 class TestGenerators:
@@ -85,6 +86,23 @@ class TestCampaign:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(BadParameter):
             run_campaign(TrialSpec(trials=1, tolerance=0.0))
+
+    def test_size_limits_admit_current_uses(self):
+        TrialSpec().validate()
+        TrialSpec(dim_range=(12, 16), trials=1).validate()
+        TrialSpec(dim_range=(32, 32), trials=MAX_TRIALS).validate()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TrialSpec(dim_range=(2, 10000)),
+            TrialSpec(dim_range=(MAX_DIM + 1, MAX_DIM + 1)),
+            TrialSpec(trials=MAX_TRIALS + 1),
+        ],
+    )
+    def test_rejects_oversized_specs(self, spec):
+        with pytest.raises(BadParameter):
+            spec.validate()
 
     def test_deterministic_reports(self):
         spec = TrialSpec(seed=5, trials=10)

@@ -44,6 +44,7 @@ from .spectral import (
     LoewnerRelation,
     LoewnerVerdict,
     SymmetricMatrix,
+    _check_hull,
     apply_scalar_function,
     eigendecompose,
     loewner_compare,
@@ -182,10 +183,7 @@ def _interval_for(matrix: SymmetricMatrix, m, M, *, positive=False):
         M = hi
     m, M = float(m), float(M)
     tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-    if lo < m - tol or hi > M + tol:
-        raise SpectrumNotEnclosed(
-            f"spectrum [{lo:.6g}, {hi:.6g}] is not inside [{m:.6g}, {M:.6g}]"
-        )
+    _check_hull(lo, hi, m, M, tol, SpectrumNotEnclosed, "spectrum")
     if m == M:
         raise DegenerateInterval("m == M: the operator is a scalar; chord undefined")
     if positive and m <= 0.0:
@@ -210,10 +208,11 @@ def build_context(
     phi_A = phi.apply(matrix)
     dec = eigendecompose(phi_A)
     tol = 1e-12 * (1.0 + max(abs(m), abs(M)))
-    if float(dec.eigenvalues[0]) < m - tol or float(dec.eigenvalues[-1]) > M + tol:
-        raise SpectrumNotEnclosed(
-            "spectrum of Phi(A) escapes [m, M]; the map is probably not unital"
-        )
+    # a unital positive map keeps Phi(A) inside [m, M]
+    _check_hull(
+        float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]), m, M, tol,
+        SpectrumNotEnclosed, "spectrum of Phi(A)",
+    )
     return CdjContext(
         matrix=matrix,
         phi=phi,
@@ -360,10 +359,9 @@ def power_function_chain(
         second derivative on the interval.
     """
     m, M = _interval_for(matrix, m, M, positive=True)
-    fn = catalog_lookup("power", [r])
-    ctx = _power_terms(matrix, phi, fn, m, M)
-    phi_Ar, phi_A_r = ctx["phi_fA"], ctx["f_phi_A"]
-    g_img, g_pt = ctx["g_img"], ctx["g_pt"]
+    ctx = build_context(matrix, phi, catalog_lookup("power", [r]), m, M)
+    phi_Ar, phi_A_r = ctx.phi_fA, ctx.f_phi_A
+    g_img, g_pt = ctx.correction_image(), ctx.correction_point()
     big_k = kantorovich_power_constant(m, M, r)
     label = f"power_chain[r={r:g}]"
     prereqs = [_psd_prerequisite("image_correction_psd", g_img)]
@@ -403,18 +401,6 @@ def power_function_chain(
     return ChainReport(label, links, tuple(prereqs))
 
 
-def _power_terms(matrix, phi, fn, m, M):
-    phi_A = phi.apply(matrix)
-    phi_A2 = phi.apply(matrix.squared())
-    ident = SymmetricMatrix.identity(phi_A.dim)
-    return {
-        "phi_fA": phi.apply(apply_scalar_function(matrix, fn)),
-        "f_phi_A": apply_scalar_function(phi_A, fn),
-        "g_img": (M + m) * phi_A - (M * m) * ident - phi_A2,
-        "g_pt": (M + m) * phi_A - (M * m) * ident - phi_A.squared(),
-    }
-
-
 @dataclass(frozen=True)
 class ImprovedKantorovich:
     """Additive sharpening of the Kantorovich inequality.
@@ -448,20 +434,14 @@ def improved_kantorovich(
     if float(dec.eigenvalues[0]) <= strict_positivity_tolerance(matrix):
         raise NotPositiveDefinite("the operator must be strictly positive")
     m, M = _interval_for(matrix, m, M, positive=True)
-    inverse = catalog_lookup("power", [-1.0])
-    phi_A = phi.apply(matrix)
-    phi_inv = phi.apply(apply_scalar_function(matrix, inverse))
-    phi_A_inv = apply_scalar_function(phi_A, inverse)
-    ident = SymmetricMatrix.identity(phi_A.dim)
-    improvement = (1.0 / M**3) * (
-        (M + m) * phi_A - (M * m) * ident - phi.apply(matrix.squared())
-    )
-    classical_rhs = ((M + m) ** 2 / (4.0 * M * m)) * phi_A_inv
+    ctx = build_context(matrix, phi, catalog_lookup("power", [-1.0]), m, M)
+    improvement = (1.0 / M**3) * ctx.correction_image()
+    classical_rhs = ((M + m) ** 2 / (4.0 * M * m)) * ctx.f_phi_A
     improved_rhs = classical_rhs - improvement
     return ImprovedKantorovich(
-        inequality=_claim("improved_kantorovich", phi_inv, improved_rhs),
+        inequality=_claim("improved_kantorovich", ctx.phi_fA, improved_rhs),
         improvement_psd=_psd_prerequisite("kantorovich_improvement_psd", improvement),
-        phi_inv=phi_inv,
+        phi_inv=ctx.phi_fA,
         classical_rhs=classical_rhs,
         improved_rhs=improved_rhs,
     )

@@ -24,17 +24,10 @@ import sys
 import numpy as np
 
 from . import worked_examples
-from .bounds import (
-    build_context,
-    chord_bounds,
-    jensen_converse_bound,
-    jensen_upper_bound,
-    ratio_sandwich,
-    with_tolerance,
-)
-from .errors import BadParameter, InvalidMatrix, NonPositiveFunction, OpineqError
+from .bounds import build_context, with_tolerance
+from .errors import BadParameter, OpineqError
 from .functions import parse_function_spec
-from .maps import NormalizedTrace, VectorState, corner_map, identity_map
+from .maps import map_from_info
 from .perspectives import (
     DensityOperator,
     quantum_tsallis_lower_bound,
@@ -43,12 +36,20 @@ from .perspectives import (
     quantum_tsallis_entropy,
 )
 from .rng import derive_seed
-from .spectral import SymmetricMatrix, loewner_compare
-from .verifier import TrialSpec, random_density, run_campaign
+from .spectral import (
+    SymmetricMatrix,
+    _matrix_from_payload,
+    _vector_from_payload,
+    loewner_compare,
+)
+from .verifier import FAMILIES, TrialSpec, random_density, run_campaign
 
 __all__ = ["main", "render_json", "parse_json", "load_matrix_file", "load_vector_file"]
 
 DEFAULT_SEED = 42
+# the families `check` evaluates, all on one context; of these only the ratio
+# sandwich has a precondition, f > 0 on [m, M]
+CHECK_FAMILIES = ("chord", "jensen_upper", "jensen_converse", "ratio")
 
 
 def _format_float(value: float) -> str:
@@ -89,39 +90,27 @@ def parse_json(text: str):
 def load_matrix_file(path: str) -> SymmetricMatrix:
     """Strict matrix loader: data length must equal dim**2."""
     with open(path) as handle:
-        payload = json.load(handle)
-    dim = int(payload["dim"])
-    data = payload["data"]
-    if len(data) != dim * dim:
-        raise InvalidMatrix(f"{path}: expected {dim * dim} entries, got {len(data)}")
-    return SymmetricMatrix(np.array(data, dtype=float).reshape(dim, dim))
+        return _matrix_from_payload(json.load(handle), path)
 
 
 def load_vector_file(path: str) -> np.ndarray:
     with open(path) as handle:
-        payload = json.load(handle)
-    dim = int(payload["dim"])
-    data = payload["data"]
-    if len(data) != dim:
-        raise InvalidMatrix(f"{path}: expected {dim} entries, got {len(data)}")
-    return np.array(data, dtype=float)
+        return _vector_from_payload(json.load(handle), path)
 
 
 def _build_map(spec: str, dim: int):
     name, _, arg = spec.partition(":")
     if name == "corner":
-        if dim < 2:
-            raise BadParameter("corner map needs dimension at least 2")
-        return corner_map(dim, dim - 1)
-    if name == "trace":
-        return NormalizedTrace(dim)
-    if name == "identity":
-        return identity_map(dim)
-    if name == "vecstate":
+        info = {"tag": "corner", "out_dim": dim - 1}
+    elif name in ("trace", "identity"):
+        info = {"tag": name}
+    elif name == "vecstate":
         if not arg:
             raise BadParameter("vecstate needs a vector file: vecstate:<path>")
-        return VectorState(load_vector_file(arg))
-    raise BadParameter(f"unknown map spec {spec!r}")
+        info = {"tag": "vecstate", "vector": load_vector_file(arg)}
+    else:
+        raise BadParameter(f"unknown map spec {spec!r}")
+    return map_from_info(info, dim)
 
 
 def _matrix_to_list(matrix: SymmetricMatrix) -> list:
@@ -151,14 +140,14 @@ def cmd_check(args) -> int:
     phi = _build_map(args.map, matrix.dim)
     fn = parse_function_spec(args.function)
     ctx = build_context(matrix, phi, fn, args.m, args.M)
-    reports = list(chord_bounds(ctx))
-    reports.append(jensen_upper_bound(ctx))
-    reports.append(jensen_converse_bound(ctx))
+    reports = []
     notes = []
-    try:
-        reports.extend(ratio_sandwich(ctx))
-    except NonPositiveFunction:
-        notes.append("ratio sandwich skipped: function is not positive on [m, M]")
+    for name in CHECK_FAMILIES:
+        family = FAMILIES[name]
+        try:
+            reports.extend(family.evaluate(ctx))
+        except family.skips:
+            notes.append("ratio sandwich skipped: function is not positive on [m, M]")
     if args.tol is not None:
         reports = [with_tolerance(r, args.tol) for r in reports]
     plain = loewner_compare(ctx.f_phi_A, ctx.phi_fA, args.tol)

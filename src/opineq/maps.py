@@ -27,6 +27,7 @@ __all__ = [
     "CongruenceMixture",
     "corner_map",
     "identity_map",
+    "map_from_info",
     "MapVerification",
     "verify_map",
 ]
@@ -181,6 +182,26 @@ class CongruenceMixture(PositiveUnitalMap):
         for weight, u in self.terms:
             out += weight * (u.T @ matrix.entries @ u)
         return SymmetricMatrix(out)
+
+
+def map_from_info(info: dict, dim: int) -> PositiveUnitalMap:
+    """The map an info dict describes; campaign reproducer records store maps this way."""
+    tag = info["tag"]
+    if tag == "corner":
+        return corner_map(dim, info["out_dim"])
+    if tag == "identity":
+        return identity_map(dim)
+    if tag == "vecstate":
+        return VectorState(np.array(info["vector"]))
+    if tag == "trace":
+        return NormalizedTrace(dim)
+    if tag == "pinching":
+        return Pinching(dim, info["blocks"])
+    if tag == "mixture":
+        return CongruenceMixture(
+            [(w, np.array(f)) for w, f in zip(info["weights"], info["factors"])]
+        )
+    raise BadParameter(f"unknown map tag {tag!r}")
 
 
 @dataclass(frozen=True)

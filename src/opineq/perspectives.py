@@ -29,10 +29,16 @@ from .errors import (
     ShapeError,
     SpectrumNotEnclosed,
 )
-from .functions import ScalarFunction, catalog_lookup, second_derivative_range
+from .functions import (
+    ScalarFunction,
+    _validate_entropy_order,
+    catalog_lookup,
+    second_derivative_range,
+)
 from .maps import PositiveUnitalMap
 from .spectral import (
     SymmetricMatrix,
+    _check_hull,
     _power_values,
     apply_scalar_function,
     eigendecompose,
@@ -63,16 +69,6 @@ __all__ = [
     "von_neumann_lower_bound",
 ]
 
-_PARAM_TOL = 1e-12
-
-
-def _validate_order(p: float) -> float:
-    p = float(p)
-    if not (-1.0 <= p <= 1.0) or abs(p) < _PARAM_TOL:
-        raise BadParameter(f"order parameter must lie in [-1, 1] and be nonzero, got {p!r}")
-    return p
-
-
 class OperatorPair:
     """Strictly positive A paired with B under the sandwich m*A <= B <= M*A.
 
@@ -99,10 +95,7 @@ class OperatorPair:
             M = hi
         m, M = float(m), float(M)
         tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
-        if lo < m - tol or hi > M + tol:
-            raise SandwichViolated(
-                f"sandwiched spectrum [{lo:.6g}, {hi:.6g}] escapes [{m:.6g}, {M:.6g}]"
-            )
+        _check_hull(lo, hi, m, M, tol, SandwichViolated, "sandwiched spectrum")
         if m == M:
             raise DegenerateInterval("m == M in the sandwich condition")
         if m > M:
@@ -171,7 +164,7 @@ def perspective_bounds(pair: OperatorPair, fn: ScalarFunction):
 
 def tsallis_relative_operator_entropy(pair: OperatorPair, p: float) -> SymmetricMatrix:
     """(A natural_p B - A) / p for p in [-1, 1] excluding 0."""
-    p = _validate_order(p)
+    p = _validate_entropy_order(p)
     if pair.m <= 0.0:
         raise BadParameter("the sandwich constant m must be positive")
     return (1.0 / p) * (pair.natural_power(p) - pair.A)
@@ -200,7 +193,7 @@ def tsallis_entropy_bounds(pair: OperatorPair, p: float):
     correction; the coefficients are the extreme values of the deformed
     logarithm's second derivative over [m, M], halved.
     """
-    p = _validate_order(p)
+    p = _validate_entropy_order(p)
     if pair.m <= 0.0:
         raise BadParameter("the sandwich constant m must be positive")
     m, M = pair.m, pair.M
@@ -286,11 +279,7 @@ class DensityOperator:
         m, M = float(m), float(M)
         if not (0.0 < m <= M <= 1.0 + 1e-12):
             raise BadParameter(f"need 0 < m <= M <= 1, got m={m!r}, M={M!r}")
-        tol = 1e-12
-        if lo < m - tol or hi > M + tol:
-            raise SpectrumNotEnclosed(
-                f"spectrum [{lo:.6g}, {hi:.6g}] is not inside [{m:.6g}, {M:.6g}]"
-            )
+        _check_hull(lo, hi, m, M, 1e-12, SpectrumNotEnclosed, "spectrum")
         self.rho = rho
         self.m = m
         self.M = min(M, 1.0)
@@ -314,14 +303,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
 
 def quantum_tsallis_entropy(rho: DensityOperator, p: float) -> float:
     """tr(rho^{1-p} - rho)/p; tends to the von Neumann entropy as p -> 0."""
-    p = _validate_order(p)
+    p = _validate_entropy_order(p)
     lam = rho.eigenvalues()
     return float((np.sum(lam ** (1.0 - p)) - 1.0) / p)
 
 
 def tsallis_relative_quantum_entropy(rho: DensityOperator, sigma: DensityOperator, p: float) -> float:
     """tr(rho - rho^{1-p} sigma^p)/p for density operators rho, sigma."""
-    p = _validate_order(p)
+    p = _validate_entropy_order(p)
     if rho.dim != sigma.dim:
         raise ShapeError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     dec_r = eigendecompose(rho.rho)
@@ -395,7 +384,7 @@ def tsallis_trace_bounds(
     entropy, which is checked as well (as a numeric consistency statement,
     not re-derived).
     """
-    p = _validate_order(p)
+    p = _validate_entropy_order(p)
     if not (0.0 < m < M):
         raise BadParameter(f"need 0 < m < M, got m={m!r}, M={M!r}")
     pair = OperatorPair(rho.rho, sigma.rho, m=m, M=M)  # SandwichViolated if not enclosed
@@ -456,7 +445,7 @@ def quantum_tsallis_lower_bound(rho: DensityOperator, p: float, tol_rel: float =
 
     with 0 < m <= M <= 1 the stored spectral bounds of rho.
     """
-    p = _validate_order(p)
+    p = _validate_entropy_order(p)
     m, M = rho.m, rho.M
     bound = (1.0 - p) * (M ** (p + 1.0) - m ** (p + 1.0)) * (1.0 - M) * (1.0 - m) / (
         2.0 * m ** (p + 1.0) * M ** (p + 1.0)

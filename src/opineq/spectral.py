@@ -163,6 +163,30 @@ class SpectralDecomposition:
         return self.recombine(self.eigenvalues)
 
 
+def _matrix_from_payload(payload: dict, source: str) -> SymmetricMatrix:
+    """Matrix from ``{"dim": n, "data": [n*n row-major reals]}``; ``source`` names it in errors."""
+    dim = int(payload["dim"])
+    data = payload["data"]
+    if len(data) != dim * dim:
+        raise InvalidMatrix(f"{source}: expected {dim * dim} entries, got {len(data)}")
+    return SymmetricMatrix(np.array(data, dtype=float).reshape(dim, dim))
+
+
+def _vector_from_payload(payload: dict, source: str) -> np.ndarray:
+    """Vector from ``{"dim": n, "data": [n reals]}``; ``source`` names it in errors."""
+    dim = int(payload["dim"])
+    data = payload["data"]
+    if len(data) != dim:
+        raise InvalidMatrix(f"{source}: expected {dim} entries, got {len(data)}")
+    return np.array(data, dtype=float)
+
+
+def _check_hull(lo: float, hi: float, m: float, M: float, tol: float, error, what: str) -> None:
+    """Raise ``error`` unless the spectral hull [lo, hi] of ``what`` lies in [m - tol, M + tol]."""
+    if lo < m - tol or hi > M + tol:
+        raise error(f"{what} [{lo:.6g}, {hi:.6g}] is not inside [{m:.6g}, {M:.6g}]")
+
+
 def strict_positivity_tolerance(matrix: SymmetricMatrix) -> float:
     """Eigenvalue floor below which a matrix does not count as strictly positive."""
     return 1e-12 * (1.0 + matrix.norm_max)
@@ -308,7 +332,10 @@ def loewner_compare(lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol: float | Non
     """Compare lhs and rhs in the positive-semidefinite order.
 
     lhs <= rhs holds when the minimum eigenvalue of rhs - lhs is >= -tol; the
-    default tolerance scales with the operands, 1e-8 * (1 + max norm).
+    default tolerance scales with the operands, 1e-8 * (1 + max norm).  Below
+    scale 1 that default is absolute, about 1e-8: zeros against
+    [[1, 2], [2, 1]] * 1e-150 compare EQUAL although the gaps are -1e-150 and
+    3e-150.  Pass ``tol`` (0.0, say) to compare operands that small.
     """
     if lhs.dim != rhs.dim:
         raise ShapeError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")

@@ -14,12 +14,11 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .bounds import (
-    ChainReport,
-    InequalityReport,
     build_context,
     chord_bounds,
     improved_kantorovich,
@@ -33,17 +32,11 @@ from .bounds import (
 )
 from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex
 from .functions import parse_function_spec
-from .maps import (
-    CongruenceMixture,
-    NormalizedTrace,
-    Pinching,
-    VectorState,
-    corner_map,
-    identity_map,
-)
+from .maps import map_from_info
 from .perspectives import (
     DensityOperator,
     OperatorPair,
+    ScalarCheck,
     map_commutation_bounds,
     perspective_bounds,
     quantum_tsallis_lower_bound,
@@ -121,37 +114,118 @@ class TrialSpec:
         }
 
 
-def registered_inequalities(spec: TrialSpec | None = None) -> tuple[str, ...]:
+@dataclass(frozen=True)
+class Family:
+    """One family of registered inequalities.
+
+    ``evaluate(*prepared, **params)`` returns the family's reports, one per
+    label, from the prepared inputs of its reproducer ``kind`` (see
+    ``_run_trial`` and ``_prepare``).  ``params`` are fixed values of this
+    entry that its reproducer records carry too.  ``skips`` are the
+    exceptions that mean the instance fails the family's preconditions.
+    """
+
+    labels: tuple[str, ...]
+    kind: str
+    evaluate: Callable
+    skips: tuple[type[Exception], ...] = ()
+    params: dict = field(default_factory=dict)
+
+
+def _trace_checks(rho, sigma, p, m, M):
+    bounds = tsallis_trace_bounds(rho, sigma, p, m, M)
+    checks = (bounds.lower_check, bounds.upper_check, bounds.relative_check)
+    return tuple(check for check in checks if check is not None)
+
+
+# Every registered inequality, in report row order.  To register a new
+# family, add one entry here.  The evaluators name the bound functions
+# inside a lambda, so they are looked up at call time and a wrapper put on
+# this module's names (a profiler or a tracer) sees each call.
+FAMILIES = {
+    "chord": Family(
+        ("chord_upper_image", "chord_lower_image", "chord_upper_jensen", "chord_lower_jensen"),
+        "cdj",
+        lambda ctx: chord_bounds(ctx),
+    ),
+    "jensen_upper": Family(("jensen_upper",), "cdj", lambda ctx: (jensen_upper_bound(ctx),)),
+    "jensen_converse": Family(
+        ("jensen_converse",), "cdj", lambda ctx: (jensen_converse_bound(ctx),)
+    ),
+    "ratio": Family(
+        ("ratio_lower", "ratio_upper"),
+        "cdj",
+        lambda ctx: ratio_sandwich(ctx),
+        (NonPositiveFunction,),
+    ),
+    "ratio_min": Family(
+        ("ratio_min_lower", "ratio_min_upper"),
+        "cdj",
+        lambda ctx: ratio_sandwich_min(ctx),
+        (NonPositiveFunction,),
+    ),
+    "refined_chain": Family(
+        ("refined_chain",),
+        "cdj",
+        lambda ctx: (refined_sandwich_chain(ctx),),
+        (NonPositiveFunction, NotStrictlyConvex),
+    ),
+    **{
+        f"power_chain[r={r:g}]": Family(
+            (f"power_chain[r={r:g}]",),
+            "power_chain",
+            lambda matrix, phi, m, M, r: (power_function_chain(matrix, phi, r, m, M),),
+            params={"r": r},
+        )
+        for r in POWER_CHAIN_RS
+    },
+    "kantorovich": Family(
+        ("improved_kantorovich", "kantorovich_improvement_psd"),
+        "kantorovich",
+        lambda kant: (kant.inequality, kant.improvement_psd),
+    ),
+    "perspective": Family(
+        ("perspective_lower", "perspective_upper"),
+        "pair",
+        lambda pair, phi, fn, p: perspective_bounds(pair, fn),
+    ),
+    "map_commutation": Family(
+        ("map_commutation_lower", "map_commutation_upper"),
+        "pair",
+        lambda pair, phi, fn, p: map_commutation_bounds(pair, phi, fn),
+    ),
+    "tsallis_operator": Family(
+        ("tsallis_operator_lower", "tsallis_operator_upper"),
+        "pair",
+        lambda pair, phi, fn, p: tsallis_entropy_bounds(pair, p),
+    ),
+    "relative_entropy": Family(
+        ("relative_entropy_lower", "relative_entropy_upper"),
+        "pair",
+        lambda pair, phi, fn, p: relative_entropy_bounds(pair),
+    ),
+    "tsallis_trace": Family(
+        ("tsallis_trace_lower", "tsallis_trace_upper", "tsallis_relative_upper"),
+        "trace_bounds",
+        _trace_checks,
+    ),
+    "quantum_tsallis_floor": Family(
+        ("quantum_tsallis_floor",),
+        "floor",
+        lambda rho, p: (quantum_tsallis_lower_bound(rho, p).floor_check,),
+    ),
+    "von_neumann_floor": Family(
+        ("von_neumann_floor",),
+        "floor",
+        lambda rho, p: (von_neumann_lower_bound(rho).floor_check,),
+    ),
+}
+_FAMILY_OF_LABEL = {label: family for family in FAMILIES.values() for label in family.labels}
+
+
+def registered_inequalities() -> tuple[str, ...]:
     """Labels the default campaign must exercise (registry for coverage checks)."""
-    return (
-        "chord_upper_image",
-        "chord_lower_image",
-        "chord_upper_jensen",
-        "chord_lower_jensen",
-        "jensen_upper",
-        "jensen_converse",
-        "ratio_lower",
-        "ratio_upper",
-        "ratio_min_lower",
-        "ratio_min_upper",
-        "refined_chain",
-        *(f"power_chain[r={r:g}]" for r in POWER_CHAIN_RS),
-        "improved_kantorovich",
-        "kantorovich_improvement_psd",
-        "perspective_lower",
-        "perspective_upper",
-        "map_commutation_lower",
-        "map_commutation_upper",
-        "tsallis_operator_lower",
-        "tsallis_operator_upper",
-        "relative_entropy_lower",
-        "relative_entropy_upper",
-        "tsallis_trace_lower",
-        "tsallis_trace_upper",
-        "tsallis_relative_upper",
-        "quantum_tsallis_floor",
-        "von_neumann_floor",
-    )
+    return tuple(_FAMILY_OF_LABEL)
 
 
 def random_orthogonal(rng: SplitMix64, dim: int) -> np.ndarray:
@@ -217,54 +291,28 @@ def random_sandwich_pair(seed: int, dim: int, m: float, M: float) -> OperatorPai
 
 
 def _make_map(tag: str, dim: int, rng: SplitMix64):
+    info = {"tag": tag}
     if tag == "corner":
-        out = max(1, dim - 1)
-        return corner_map(dim, out), {"tag": "corner", "out_dim": out}
-    if tag == "identity":
-        return identity_map(dim), {"tag": "identity"}
-    if tag == "vecstate":
+        info["out_dim"] = max(1, dim - 1)
+    elif tag == "vecstate":
         vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
         norm = float(np.linalg.norm(vec))
         while norm < 1e-3:
             vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
             norm = float(np.linalg.norm(vec))
-        vec = vec / norm
-        return VectorState(vec), {"tag": "vecstate", "vector": [float(v) for v in vec]}
-    if tag == "trace":
-        return NormalizedTrace(dim), {"tag": "trace"}
-    if tag == "pinching":
+        info["vector"] = [float(v) for v in vec / norm]
+    elif tag == "pinching":
         cut = 1 + rng.below(dim - 1)
-        blocks = [list(range(cut)), list(range(cut, dim))]
-        return Pinching(dim, blocks), {"tag": "pinching", "blocks": blocks}
-    if tag == "mixture":
+        info["blocks"] = [list(range(cut)), list(range(cut, dim))]
+    elif tag == "mixture":
         factors = [random_orthogonal(rng, dim), random_orthogonal(rng, dim)]
-        weights = [0.5, 0.5]
-        info = {
-            "tag": "mixture",
-            "weights": weights,
-            "factors": [[[float(x) for x in row] for row in f] for f in factors],
-        }
-        return CongruenceMixture(list(zip(weights, factors))), info
-    raise BadParameter(f"unknown map tag {tag!r}")
+        info["weights"] = [0.5, 0.5]
+        info["factors"] = [[[float(x) for x in row] for row in f] for f in factors]
+    return map_from_info(info, dim), info
 
 
-def _map_from_info(info: dict, dim: int):
-    tag = info["tag"]
-    if tag == "corner":
-        return corner_map(dim, info["out_dim"])
-    if tag == "identity":
-        return identity_map(dim)
-    if tag == "vecstate":
-        return VectorState(np.array(info["vector"]))
-    if tag == "trace":
-        return NormalizedTrace(dim)
-    if tag == "pinching":
-        return Pinching(dim, info["blocks"])
-    if tag == "mixture":
-        return CongruenceMixture(
-            [(w, np.array(f)) for w, f in zip(info["weights"], info["factors"])]
-        )
-    raise BadParameter(f"unknown map tag {tag!r}")
+def _matrix_from_data(values: list, dim: int) -> SymmetricMatrix:
+    return SymmetricMatrix(np.array(values).reshape(dim, dim))
 
 
 def _matrix_data(matrix: SymmetricMatrix) -> list:
@@ -280,7 +328,9 @@ class _Collector:
     rows: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    def add(self, label: str, slack: float, scale: float, inputs: dict) -> None:
+    def add(self, report, inputs: dict) -> None:
+        label = report.label
+        slack, scale = _slack_and_scale(report)
         passed = slack >= -(self.tolerance * (1.0 + scale))
         self.rows.append([label, self.trial, self.dim, float(slack), bool(passed)])
         if not passed:
@@ -295,11 +345,12 @@ class _Collector:
                 }
             )
 
-    def add_report(self, report: InequalityReport | ChainReport, inputs: dict, label=None) -> None:
-        self.add(label or report.label, report.tightness, report.scale, inputs)
 
-    def add_scalar(self, label: str, slack: float, magnitude: float, inputs: dict) -> None:
-        self.add(label, slack, max(1.0, magnitude), inputs)
+def _slack_and_scale(report) -> tuple[float, float]:
+    """Signed slack and the scale its failure threshold grows with."""
+    if isinstance(report, ScalarCheck):
+        return report.slack, max(1.0, max(abs(report.lhs), abs(report.rhs)))
+    return report.tightness, report.scale
 
 
 @dataclass
@@ -354,8 +405,12 @@ def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
     rho_seed = rng.next_u64()
     sigma_seed = rng.next_u64()
 
-    out = _Collector(spec.tolerance, index, trial_seed, dim)
     fn = parse_function_spec(fn_spec)
+    pair = random_sandwich_pair(pair_seed, dim, pair_m, pair_M)
+    rho = random_density(rho_seed, dim)
+    sigma = random_density(sigma_seed, dim)
+    relative_pair = OperatorPair(rho.rho, sigma.rho)
+    p_pos = abs(p)
 
     cdj_inputs = {
         "kind": "cdj",
@@ -366,91 +421,58 @@ def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
         "m": m,
         "M": M,
     }
+    records = {
+        "cdj": cdj_inputs,
+        "power_chain": dict(cdj_inputs, kind="power_chain"),
+        "kantorovich": dict(cdj_inputs, kind="kantorovich"),
+        "pair": {
+            "kind": "pair",
+            "A": _matrix_data(pair.A),
+            "B": _matrix_data(pair.B),
+            "dim": dim,
+            "map": map_info,
+            "function": fn_spec,
+            "p": p,
+        },
+        "trace_bounds": {
+            "kind": "trace_bounds",
+            "rho": _matrix_data(rho.rho),
+            "sigma": _matrix_data(sigma.rho),
+            "dim": dim,
+            "p": p_pos,
+            "m": relative_pair.m,
+            "M": relative_pair.M,
+        },
+        "floor": {"kind": "floor", "rho": _matrix_data(rho.rho), "dim": dim, "p": p_pos},
+    }
     ctx = build_context(matrix, phi, fn, m, M)
-    for report in chord_bounds(ctx):
-        out.add_report(report, cdj_inputs)
-    out.add_report(jensen_upper_bound(ctx), cdj_inputs)
-    out.add_report(jensen_converse_bound(ctx), cdj_inputs)
-    third = jensen_third_term(ctx)
-    third_dec = eigendecompose(third)
+    # prepared whole: the strict-improvement statistic below reads it too
+    kant = improved_kantorovich(matrix, phi, m, M)
+    prepared = {
+        "cdj": (ctx,),
+        "power_chain": (matrix, phi, m, M),
+        "kantorovich": (kant,),
+        "pair": (pair, phi, fn, p),
+        "trace_bounds": (rho, sigma, p_pos, relative_pair.m, relative_pair.M),
+        "floor": (rho, p_pos),
+    }
+
+    out = _Collector(spec.tolerance, index, trial_seed, dim)
+    for family in FAMILIES.values():
+        try:
+            reports = family.evaluate(*prepared[family.kind], **family.params)
+        except family.skips:
+            continue
+        inputs = dict(records[family.kind], **family.params)
+        for report in reports:
+            out.add(report, inputs)
+
+    third_dec = eigendecompose(jensen_third_term(ctx))
     stats["third_term_min"] = min(stats["third_term_min"], float(third_dec.eigenvalues[0]))
     stats["third_term_max"] = max(stats["third_term_max"], float(third_dec.eigenvalues[-1]))
-    try:
-        for report in ratio_sandwich(ctx):
-            out.add_report(report, cdj_inputs)
-        for report in ratio_sandwich_min(ctx):
-            out.add_report(report, cdj_inputs)
-    except NonPositiveFunction:
-        pass
-    try:
-        out.add_report(refined_sandwich_chain(ctx), cdj_inputs)
-    except (NonPositiveFunction, NotStrictlyConvex):
-        pass
-
-    for r in POWER_CHAIN_RS:
-        chain_inputs = dict(cdj_inputs, kind="power_chain", r=r)
-        out.add_report(power_function_chain(matrix, phi, r, m, M), chain_inputs)
-
-    kant_inputs = dict(cdj_inputs, kind="kantorovich")
-    kant = improved_kantorovich(matrix, phi, m, M)
-    out.add_report(kant.inequality, kant_inputs)
-    out.add_report(kant.improvement_psd, kant_inputs)
     improvement = kant.classical_rhs - kant.improved_rhs
     if improvement.min_eigenvalue() > 1e-12:
         stats["kantorovich_strict_improvements"] += 1
-
-    pair = random_sandwich_pair(pair_seed, dim, pair_m, pair_M)
-    pair_inputs = {
-        "kind": "pair",
-        "A": _matrix_data(pair.A),
-        "B": _matrix_data(pair.B),
-        "dim": dim,
-        "map": map_info,
-        "function": fn_spec,
-        "p": p,
-    }
-    for report in perspective_bounds(pair, fn):
-        out.add_report(report, pair_inputs)
-    for report in map_commutation_bounds(pair, phi, fn):
-        out.add_report(report, pair_inputs)
-    for report in tsallis_entropy_bounds(pair, p):
-        out.add_report(report, pair_inputs)
-    for report in relative_entropy_bounds(pair):
-        out.add_report(report, pair_inputs)
-
-    rho = random_density(rho_seed, dim)
-    sigma = random_density(sigma_seed, dim)
-    relative_pair = OperatorPair(rho.rho, sigma.rho)
-    p_pos = abs(p)
-    trace_inputs = {
-        "kind": "trace_bounds",
-        "rho": _matrix_data(rho.rho),
-        "sigma": _matrix_data(sigma.rho),
-        "dim": dim,
-        "p": p_pos,
-        "m": relative_pair.m,
-        "M": relative_pair.M,
-    }
-    bounds = tsallis_trace_bounds(rho, sigma, p_pos, relative_pair.m, relative_pair.M)
-    for check in (bounds.lower_check, bounds.upper_check, bounds.relative_check):
-        if check is not None:
-            out.add_scalar(check.label, check.slack, max(abs(check.lhs), abs(check.rhs)), trace_inputs)
-
-    floor_inputs = {"kind": "floor", "rho": _matrix_data(rho.rho), "dim": dim, "p": p_pos}
-    tsallis_floor = quantum_tsallis_lower_bound(rho, p_pos)
-    out.add_scalar(
-        "quantum_tsallis_floor",
-        tsallis_floor.slack,
-        max(abs(tsallis_floor.entropy), abs(tsallis_floor.bound)),
-        floor_inputs,
-    )
-    vn_floor = von_neumann_lower_bound(rho)
-    out.add_scalar(
-        "von_neumann_floor",
-        vn_floor.slack,
-        max(abs(vn_floor.entropy), abs(vn_floor.bound)),
-        floor_inputs,
-    )
     return out
 
 
@@ -491,7 +513,7 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         agg["mean_slack"] /= agg["pass"] + agg["fail"]
 
     seen = set(aggregates)
-    missing = sorted(set(registered_inequalities(spec)) - seen)
+    missing = sorted(set(registered_inequalities()) - seen)
     statistics = {
         "jensen_third_term_min_eig": stats["third_term_min"],
         "jensen_third_term_max_eig": stats["third_term_max"],
@@ -499,6 +521,30 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         "coverage_missing": missing,
     }
     return CampaignReport(spec, rows, aggregates, failures, statistics)
+
+
+def _prepare(inputs: dict) -> tuple:
+    """Rebuild the prepared inputs of a reproducer record's kind."""
+    kind = inputs["kind"]
+    dim = inputs["dim"]
+    if kind in ("cdj", "power_chain", "kantorovich"):
+        matrix = _matrix_from_data(inputs["matrix"], dim)
+        phi = map_from_info(inputs["map"], dim)
+        if kind == "power_chain":
+            return (matrix, phi, inputs["m"], inputs["M"])
+        if kind == "kantorovich":
+            return (improved_kantorovich(matrix, phi, inputs["m"], inputs["M"]),)
+        fn = parse_function_spec(inputs["function"])
+        return (build_context(matrix, phi, fn, inputs["m"], inputs["M"]),)
+    if kind == "pair":
+        pair = OperatorPair(_matrix_from_data(inputs["A"], dim), _matrix_from_data(inputs["B"], dim))
+        phi = map_from_info(inputs["map"], dim)
+        return (pair, phi, parse_function_spec(inputs["function"]), inputs["p"])
+    rho = DensityOperator(_matrix_from_data(inputs["rho"], dim))
+    if kind == "trace_bounds":
+        sigma = DensityOperator(_matrix_from_data(inputs["sigma"], dim))
+        return (rho, sigma, inputs["p"], inputs["m"], inputs["M"])
+    return (rho, inputs["p"])
 
 
 def replay_failure(record: dict) -> float:
@@ -509,62 +555,11 @@ def replay_failure(record: dict) -> float:
     """
     inputs = record["inputs"]
     label = record["label"]
-    kind = inputs["kind"]
-    dim = inputs["dim"]
-    if kind in ("cdj", "power_chain", "kantorovich"):
-        matrix = SymmetricMatrix(np.array(inputs["matrix"]).reshape(dim, dim))
-        phi = _map_from_info(inputs["map"], dim)
-        if kind == "power_chain":
-            chain = power_function_chain(matrix, phi, inputs["r"], inputs["m"], inputs["M"])
-            return chain.tightness
-        if kind == "kantorovich":
-            kant = improved_kantorovich(matrix, phi, inputs["m"], inputs["M"])
-            table = {
-                "improved_kantorovich": kant.inequality,
-                "kantorovich_improvement_psd": kant.improvement_psd,
-            }
-            return table[label].tightness
-        fn = parse_function_spec(inputs["function"])
-        ctx = build_context(matrix, phi, fn, inputs["m"], inputs["M"])
-        reports = {r.label: r for r in chord_bounds(ctx)}
-        reports["jensen_upper"] = jensen_upper_bound(ctx)
-        reports["jensen_converse"] = jensen_converse_bound(ctx)
-        if label.startswith("ratio_min"):
-            reports.update({r.label: r for r in ratio_sandwich_min(ctx)})
-        elif label.startswith("ratio"):
-            reports.update({r.label: r for r in ratio_sandwich(ctx)})
-        elif label == "refined_chain":
-            reports["refined_chain"] = refined_sandwich_chain(ctx)
-        return reports[label].tightness
-    if kind == "pair":
-        first = SymmetricMatrix(np.array(inputs["A"]).reshape(dim, dim))
-        second = SymmetricMatrix(np.array(inputs["B"]).reshape(dim, dim))
-        pair = OperatorPair(first, second)
-        fn = parse_function_spec(inputs["function"])
-        reports = {}
-        if label.startswith("perspective"):
-            reports.update({r.label: r for r in perspective_bounds(pair, fn)})
-        elif label.startswith("map_commutation"):
-            phi = _map_from_info(inputs["map"], dim)
-            reports.update({r.label: r for r in map_commutation_bounds(pair, phi, fn)})
-        elif label.startswith("tsallis_operator"):
-            reports.update({r.label: r for r in tsallis_entropy_bounds(pair, inputs["p"])})
-        else:
-            reports.update({r.label: r for r in relative_entropy_bounds(pair)})
-        return reports[label].tightness
-    if kind == "trace_bounds":
-        rho = DensityOperator(SymmetricMatrix(np.array(inputs["rho"]).reshape(dim, dim)))
-        sigma = DensityOperator(SymmetricMatrix(np.array(inputs["sigma"]).reshape(dim, dim)))
-        bounds = tsallis_trace_bounds(rho, sigma, inputs["p"], inputs["m"], inputs["M"])
-        table = {
-            "tsallis_trace_lower": bounds.lower_check,
-            "tsallis_trace_upper": bounds.upper_check,
-            "tsallis_relative_upper": bounds.relative_check,
-        }
-        return table[label].slack
-    if kind == "floor":
-        rho = DensityOperator(SymmetricMatrix(np.array(inputs["rho"]).reshape(dim, dim)))
-        if label == "quantum_tsallis_floor":
-            return quantum_tsallis_lower_bound(rho, inputs["p"]).slack
-        return von_neumann_lower_bound(rho).slack
-    raise BadParameter(f"unknown reproducer kind {kind!r}")
+    family = _FAMILY_OF_LABEL.get(label)
+    if family is None:
+        raise BadParameter(f"unknown inequality label {label!r}")
+    if inputs["kind"] != family.kind:
+        raise BadParameter(f"{label} needs reproducer kind {family.kind!r}, got {inputs['kind']!r}")
+    params = {name: inputs[name] for name in family.params}
+    reports = family.evaluate(*_prepare(inputs), **params)
+    return next(_slack_and_scale(r)[0] for r in reports if r.label == label)

@@ -27,12 +27,13 @@ from .bounds import (
     jensen_converse_bound,
     jensen_upper_bound,
 )
-from .errors import InvalidMatrix
 from .functions import catalog_lookup
 from .maps import NormalizedTrace, VectorState, corner_map
 from .spectral import (
     LoewnerRelation,
     SymmetricMatrix,
+    _matrix_from_payload,
+    _vector_from_payload,
     apply_scalar_function,
     loewner_compare,
 )
@@ -86,21 +87,11 @@ def _fixture_payload(name: str) -> dict:
 
 
 def load_fixture_matrix(name: str) -> SymmetricMatrix:
-    payload = _fixture_payload(name)
-    dim = int(payload["dim"])
-    data = payload["data"]
-    if len(data) != dim * dim:
-        raise InvalidMatrix(f"{name}: expected {dim * dim} entries, got {len(data)}")
-    return SymmetricMatrix(np.array(data, dtype=float).reshape(dim, dim))
+    return _matrix_from_payload(_fixture_payload(name), name)
 
 
 def load_fixture_vector(name: str) -> np.ndarray:
-    payload = _fixture_payload(name)
-    dim = int(payload["dim"])
-    data = payload["data"]
-    if len(data) != dim:
-        raise InvalidMatrix(f"{name}: expected {dim} entries, got {len(data)}")
-    return np.array(data, dtype=float)
+    return _vector_from_payload(_fixture_payload(name), name)
 
 
 def quartic_corner_counterexample() -> ExampleResult:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -109,6 +110,10 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+    def test_one_dimensional_corner_exits_2(self, tmp_path):
+        path = write_matrix(tmp_path, "one.json", 1, [2.0])
+        assert main(["check", "--matrix", path, "--map", "corner", "--function", "power:2"]) == 2
 
     def test_kantorovich_alias(self, capsys):
         code = main([
@@ -222,3 +227,44 @@ class TestMatrixLoader:
         path = write_matrix(tmp_path, "asym.json", 2, [1.0, 2.0, 1.0, 3.0])
         code = main(["check", "--matrix", path, "--map", "trace", "--function", "power:2"])
         assert code == 2
+
+
+# SHA-256 of the `check --json` and `kantorovich --json` outputs (exit code
+# plus stdout) over the fixtures, one digest per map.  Recorded before the
+# inequality families and the map builder moved behind one table each; the
+# bytes must not change when the code behind them is reorganised.
+CHECK_OUTPUT_SHA256 = {
+    "corner": "af01026808c424387dc75d6eb201e9a14ab1a8622bdb60e1f4f28a353da4c148",
+    "trace": "0d9ebaa133cc05eccbc25c9389beb3743043572348a479139d85fad8df3a649f",
+    "identity": "a62ccd2357650aca685290dd47454a72dc7546f67176d2174904e473528ec5d4",
+    "vecstate": "060d5da3def028aa89c5f1bacc700fffed40866fc9638ef60dcc11a5365e5ba7",
+}
+CHECK_FIXTURES = {
+    "cube_vector_state_3x3.json": ("0.25", "3.8"),
+    "inverse_trace_2x2.json": ("2", "8"),
+    "quartic_corner_3x3.json": ("0.25", "5"),
+}
+CHECK_FUNCTIONS = ("power:3", "power:4", "log", "exp", "tsallis_f:0.5", "tsallis_g:-0.5")
+
+
+def check_output_digest(map_name, capsys) -> str:
+    map_arg = f"vecstate:{FIXTURES}/uniform_state_3.json" if map_name == "vecstate" else map_name
+    digest = hashlib.sha256()
+    for fixture, (m, M) in CHECK_FIXTURES.items():
+        if map_name == "vecstate" and not fixture.endswith("3x3.json"):
+            continue
+        base = ["--matrix", f"{FIXTURES}/{fixture}", "--map", map_arg, "--json"]
+        commands = [["check", *base, "--function", fn] for fn in CHECK_FUNCTIONS]
+        commands.append(["kantorovich", *base])
+        commands.append(["check", *base, "--function", "power:2", "--tol", "1e-300"])
+        commands += [[*argv, "--m", m, "--M", M] for argv in list(commands)]
+        for argv in commands:
+            code = main(argv)
+            digest.update(f"{' '.join(argv)}\n{code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("map_name", sorted(CHECK_OUTPUT_SHA256))
+def test_check_output_bytes_pinned(map_name, capsys):
+    assert check_output_digest(map_name, capsys) == CHECK_OUTPUT_SHA256[map_name]

@@ -237,6 +237,13 @@ class TestLoewnerCompare:
         verdict = loewner_compare(a, a)
         assert verdict.relation is LoewnerRelation.EQUAL
 
+    def test_default_tolerance_is_absolute_below_scale_one(self):
+        # the documented limit: tiny incomparable operands read EQUAL unless tol is given
+        zero = SymmetricMatrix(np.zeros((2, 2)))
+        tiny = SymmetricMatrix([[1.0, 2.0], [2.0, 1.0]]) * 1e-150
+        assert loewner_compare(zero, tiny).relation is LoewnerRelation.EQUAL
+        assert loewner_compare(zero, tiny, 0.0).relation is LoewnerRelation.INCOMPARABLE
+
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             loewner_compare(SymmetricMatrix.identity(2), SymmetricMatrix.identity(3))

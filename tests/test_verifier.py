@@ -148,34 +148,126 @@ class TestCampaign:
         assert len(seen_kinds) >= 3  # several reproducer families exercised
 
     def test_replay_dispatch_for_map_based_records(self):
-        from opineq import NormalizedTrace, build_context, catalog_lookup, improved_kantorovich
-        from opineq import jensen_upper_bound
+        # one fixed instance per reproducer kind; replay of every registered
+        # label must equal the slack from calling the family directly
+        from opineq import (
+            DensityOperator,
+            NormalizedTrace,
+            OperatorPair,
+            Pinching,
+            build_context,
+            catalog_lookup,
+            chord_bounds,
+            improved_kantorovich,
+            jensen_converse_bound,
+            jensen_upper_bound,
+            map_commutation_bounds,
+            perspective_bounds,
+            power_function_chain,
+            quantum_tsallis_lower_bound,
+            ratio_sandwich,
+            ratio_sandwich_min,
+            refined_sandwich_chain,
+            relative_entropy_bounds,
+            tsallis_entropy_bounds,
+            tsallis_trace_bounds,
+            von_neumann_lower_bound,
+        )
+
+        def data(matrix):
+            return [float(x) for x in matrix.entries.reshape(-1)]
+
+        def rebuilt(values, dim):
+            return SymmetricMatrix(np.array(values).reshape(dim, dim))
 
         matrix = SymmetricMatrix([[3.0, -2.0], [-2.0, 7.0]])
-        data = [float(x) for x in matrix.entries.reshape(-1)]
-        cdj_record = {
-            "label": "jensen_upper",
-            "slack": None,
-            "inputs": {
-                "kind": "cdj",
-                "matrix": data,
-                "dim": 2,
-                "map": {"tag": "trace"},
-                "function": "power:3",
-                "m": 2.0,
-                "M": 8.0,
-            },
+        cdj = {
+            "kind": "cdj",
+            "matrix": data(matrix),
+            "dim": 2,
+            "map": {"tag": "trace"},
+            "function": "power:3",
+            "m": 2.0,
+            "M": 8.0,
         }
-        ctx = build_context(matrix, NormalizedTrace(2), catalog_lookup("power", [3]), 2.0, 8.0)
-        assert replay_failure(cdj_record) == jensen_upper_bound(ctx).tightness
+        trace = NormalizedTrace(2)
+        ctx = build_context(matrix, trace, catalog_lookup("power", [3]), 2.0, 8.0)
+        kant = improved_kantorovich(matrix, trace, 2.0, 8.0)
+        cases = [(cdj, r.label, r.tightness) for r in chord_bounds(ctx)]
+        cases += [
+            (cdj, r.label, r.tightness)
+            for r in (
+                jensen_upper_bound(ctx),
+                jensen_converse_bound(ctx),
+                *ratio_sandwich(ctx),
+                *ratio_sandwich_min(ctx),
+                refined_sandwich_chain(ctx),
+            )
+        ]
+        for r in (-2.0, -1.0, 0.5, 2.0, 3.0):
+            chain = power_function_chain(matrix, trace, r, 2.0, 8.0)
+            cases.append((dict(cdj, kind="power_chain", r=r), chain.label, chain.tightness))
+        kant_inputs = dict(cdj, kind="kantorovich")
+        cases.append((kant_inputs, "improved_kantorovich", kant.inequality.tightness))
+        cases.append((kant_inputs, "kantorovich_improvement_psd", kant.improvement_psd.tightness))
 
-        kant_record = {
-            "label": "improved_kantorovich",
-            "slack": None,
-            "inputs": dict(cdj_record["inputs"], kind="kantorovich"),
+        source = random_sandwich_pair(15, 3, 0.5, 2.0)
+        pair_inputs = {
+            "kind": "pair",
+            "A": data(source.A),
+            "B": data(source.B),
+            "dim": 3,
+            "map": {"tag": "pinching", "blocks": [[0], [1, 2]]},
+            "function": "log",
+            "p": -0.5,
         }
-        direct = improved_kantorovich(matrix, NormalizedTrace(2), 2.0, 8.0)
-        assert replay_failure(kant_record) == direct.inequality.tightness
+        pair = OperatorPair(rebuilt(pair_inputs["A"], 3), rebuilt(pair_inputs["B"], 3))
+        log = catalog_lookup("log")
+        pair_reports = (
+            *perspective_bounds(pair, log),
+            *map_commutation_bounds(pair, Pinching(3, [[0], [1, 2]]), log),
+            *tsallis_entropy_bounds(pair, -0.5),
+            *relative_entropy_bounds(pair),
+        )
+        cases += [(pair_inputs, r.label, r.tightness) for r in pair_reports]
+
+        rho_source, sigma_source = random_density(16, 3), random_density(17, 3)
+        relative = OperatorPair(rho_source.rho, sigma_source.rho)
+        trace_inputs = {
+            "kind": "trace_bounds",
+            "rho": data(rho_source.rho),
+            "sigma": data(sigma_source.rho),
+            "dim": 3,
+            "p": 0.5,
+            "m": relative.m,
+            "M": relative.M,
+        }
+        rho = DensityOperator(rebuilt(trace_inputs["rho"], 3))
+        sigma = DensityOperator(rebuilt(trace_inputs["sigma"], 3))
+        bounds = tsallis_trace_bounds(rho, sigma, 0.5, relative.m, relative.M)
+        cases += [
+            (trace_inputs, check.label, check.slack)
+            for check in (bounds.lower_check, bounds.upper_check, bounds.relative_check)
+        ]
+        floor_inputs = {"kind": "floor", "rho": trace_inputs["rho"], "dim": 3, "p": 0.5}
+        cases.append(
+            (floor_inputs, "quantum_tsallis_floor", quantum_tsallis_lower_bound(rho, 0.5).slack)
+        )
+        cases.append((floor_inputs, "von_neumann_floor", von_neumann_lower_bound(rho).slack))
+
+        assert sorted(label for _, label, _ in cases) == sorted(registered_inequalities())
+        for inputs, label, slack in cases:
+            record = {"label": label, "slack": None, "inputs": inputs}
+            assert replay_failure(record) == slack, label
+
+    def test_replay_rejects_unknown_label_and_mismatched_kind(self):
+        inputs = {"kind": "floor", "rho": [0.1, 0.0, 0.0, 0.9], "dim": 2, "p": 0.5}
+        record = {"label": "von_neumann_floor", "slack": None, "inputs": inputs}
+        assert replay_failure(record) < 0.0  # diag(0.1, 0.9) breaks the claimed floor
+        with pytest.raises(BadParameter):
+            replay_failure(dict(record, label="no_such_bound"))
+        with pytest.raises(BadParameter):
+            replay_failure(dict(record, label="jensen_upper"))
 
     def test_third_term_statistics_recorded(self):
         report = run_campaign(TrialSpec(seed=9, trials=10))

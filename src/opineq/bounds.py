@@ -19,7 +19,7 @@ inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     BadParameter,
@@ -41,7 +41,6 @@ from .functions import (
 )
 from .maps import PositiveUnitalMap
 from .spectral import (
-    LoewnerRelation,
     LoewnerVerdict,
     SymmetricMatrix,
     _check_hull,
@@ -129,7 +128,14 @@ class ChainReport:
 
 @dataclass(frozen=True)
 class CdjContext:
-    """One operator instance with everything the bounds need precomputed."""
+    """One operator instance with everything the bounds need precomputed.
+
+    ``with_function`` gives the same instance for another function.  The
+    contexts of one instance share every term that does not depend on the
+    function: Phi(A), Phi(A^2), Phi(A)^2, the identity, the affine part
+    (M+m) Phi(A) - Mm of both correction terms, the corrections themselves
+    and the verdicts that they are PSD.
+    """
 
     matrix: SymmetricMatrix
     phi: PositiveUnitalMap
@@ -140,6 +146,12 @@ class CdjContext:
     phi_A_sq: SymmetricMatrix
     phi_fA: SymmetricMatrix
     f_phi_A: SymmetricMatrix
+    _identity: SymmetricMatrix = field(repr=False)
+    _affine: SymmetricMatrix = field(repr=False)
+    _correction_image: SymmetricMatrix = field(repr=False)
+    _correction_point: SymmetricMatrix = field(repr=False)
+    # "image"/"point" -> PSD verdict on that correction, judged on first use
+    _psd: dict = field(repr=False, compare=False)
 
     @property
     def m(self) -> float:
@@ -157,20 +169,34 @@ class CdjContext:
     def beta(self) -> float:
         return self.bounds.beta
 
+    def with_function(self, fn: ScalarFunction) -> "CdjContext":
+        """This instance with ``fn``; equal to ``build_context`` with ``fn``, bit for bit."""
+        return replace(
+            self,
+            fn=fn,
+            bounds=second_derivative_range(fn, self.m, self.M),
+            phi_fA=self.phi.apply(apply_scalar_function(self.matrix, fn)),
+            f_phi_A=apply_scalar_function(self.phi_A, fn),
+        )
+
     def chord_at_phi_A(self) -> SymmetricMatrix:
         chord = chord_line(self.fn, self.m, self.M)
-        ident = SymmetricMatrix.identity(self.phi_A.dim)
-        return chord.slope * self.phi_A + chord.intercept * ident
+        return chord.slope * self.phi_A + chord.intercept * self._identity
 
     def correction_image(self) -> SymmetricMatrix:
         """(M+m) Phi(A) - Mm - Phi(A^2); PSD because Phi((M-A)(A-m)) >= 0."""
-        ident = SymmetricMatrix.identity(self.phi_A.dim)
-        return (self.M + self.m) * self.phi_A - (self.M * self.m) * ident - self.phi_A2
+        return self._correction_image
 
     def correction_point(self) -> SymmetricMatrix:
         """(M+m) Phi(A) - Mm - Phi(A)^2 = (M - Phi(A))(Phi(A) - m); PSD."""
-        ident = SymmetricMatrix.identity(self.phi_A.dim)
-        return (self.M + self.m) * self.phi_A - (self.M * self.m) * ident - self.phi_A_sq
+        return self._correction_point
+
+    def _correction_psd(self, which: str) -> "InequalityReport":
+        """The verdict that the ``which`` ("image" or "point") correction is PSD."""
+        if which not in self._psd:
+            term = self._correction_image if which == "image" else self._correction_point
+            self._psd[which] = _psd_prerequisite(f"{which}_correction_psd", term)
+        return self._psd[which]
 
 
 def _interval_for(matrix: SymmetricMatrix, m, M, *, positive=False):
@@ -213,16 +239,25 @@ def build_context(
         float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]), m, M, tol,
         SpectrumNotEnclosed, "spectrum of Phi(A)",
     )
+    phi_A2 = phi.apply(matrix.squared())
+    phi_A_sq = phi_A.squared()
+    identity = SymmetricMatrix.identity(phi_A.dim)
+    affine = (M + m) * phi_A - (M * m) * identity
     return CdjContext(
         matrix=matrix,
         phi=phi,
         fn=fn,
         bounds=bounds,
         phi_A=phi_A,
-        phi_A2=phi.apply(matrix.squared()),
-        phi_A_sq=phi_A.squared(),
+        phi_A2=phi_A2,
+        phi_A_sq=phi_A_sq,
         phi_fA=phi.apply(apply_scalar_function(matrix, fn)),
         f_phi_A=apply_scalar_function(phi_A, fn),
+        _identity=identity,
+        _affine=affine,
+        _correction_image=affine - phi_A2,
+        _correction_point=affine - phi_A_sq,
+        _psd={},
     )
 
 
@@ -244,9 +279,7 @@ def chord_bounds(ctx: CdjContext):
 
 
 def _spread_term(ctx: CdjContext) -> SymmetricMatrix:
-    ident = SymmetricMatrix.identity(ctx.phi_A.dim)
-    base = (ctx.M + ctx.m) * ctx.phi_A - (ctx.M * ctx.m) * ident
-    return ((ctx.beta - ctx.alpha) / 2.0) * base
+    return ((ctx.beta - ctx.alpha) / 2.0) * ctx._affine
 
 
 def jensen_third_term(ctx: CdjContext) -> SymmetricMatrix:
@@ -256,9 +289,7 @@ def jensen_third_term(ctx: CdjContext) -> SymmetricMatrix:
 
 def jensen_upper_bound(ctx: CdjContext) -> InequalityReport:
     """f(Phi(A)) <= Phi(f(A)) + spread term + (1/2)(alpha Phi(A)^2 - beta Phi(A^2))."""
-    rhs = ctx.phi_fA + _spread_term(ctx) + 0.5 * (
-        ctx.alpha * ctx.phi_A_sq - ctx.beta * ctx.phi_A2
-    )
+    rhs = ctx.phi_fA + _spread_term(ctx) + jensen_third_term(ctx)
     return _claim("jensen_upper", ctx.f_phi_A, rhs)
 
 
@@ -270,16 +301,25 @@ def jensen_converse_bound(ctx: CdjContext) -> InequalityReport:
     return _claim("jensen_converse", ctx.phi_fA, rhs)
 
 
+def _sandwich_terms(ctx: CdjContext, const: float, half: float):
+    """(1/c){Phi(f(A)) + h corr_image} and c Phi(f(A)) - h corr_point.
+
+    With c = K and h = alpha/2 they bound f(Phi(A)) from below and above;
+    with c = k and h = beta/2 they bound it from above and below.
+    """
+    return (
+        (1.0 / const) * (ctx.phi_fA + half * ctx.correction_image()),
+        const * ctx.phi_fA - half * ctx.correction_point(),
+    )
+
+
 def ratio_sandwich(ctx: CdjContext):
     """Kantorovich-type sandwich with K = max of chord/f; needs f > 0 on [m, M].
 
         (1/K) {Phi(f(A)) + (alpha/2) corr_image} <= f(Phi(A))
                                                  <= K Phi(f(A)) - (alpha/2) corr_point
     """
-    big_k = K_constant(ctx.fn, ctx.m, ctx.M)
-    alpha = ctx.alpha
-    lower = (1.0 / big_k) * (ctx.phi_fA + (alpha / 2.0) * ctx.correction_image())
-    upper = big_k * ctx.phi_fA - (alpha / 2.0) * ctx.correction_point()
+    lower, upper = _sandwich_terms(ctx, K_constant(ctx.fn, ctx.m, ctx.M), ctx.alpha / 2.0)
     return (
         _claim("ratio_lower", lower, ctx.f_phi_A),
         _claim("ratio_upper", ctx.f_phi_A, upper),
@@ -295,9 +335,7 @@ def ratio_sandwich_min(ctx: CdjContext):
     small_k = k_constant(ctx.fn, ctx.m, ctx.M)
     if small_k <= 0.0:
         raise NonPositiveConstant(f"chord/function minimum {small_k!r} is not positive")
-    beta = ctx.beta
-    lower = small_k * ctx.phi_fA - (beta / 2.0) * ctx.correction_point()
-    upper = (1.0 / small_k) * (ctx.phi_fA + (beta / 2.0) * ctx.correction_image())
+    upper, lower = _sandwich_terms(ctx, small_k, ctx.beta / 2.0)
     return (
         _claim("ratio_min_lower", lower, ctx.f_phi_A),
         _claim("ratio_min_upper", ctx.f_phi_A, upper),
@@ -307,6 +345,28 @@ def ratio_sandwich_min(ctx: CdjContext):
 def _psd_prerequisite(label: str, term: SymmetricMatrix) -> InequalityReport:
     zero = SymmetricMatrix(term.entries * 0.0)
     return _claim(label, zero, term)
+
+
+def _sandwich_chain(
+    ctx: CdjContext, label: str, prefix: str, const: float, half: float,
+    *, closed: bool = True, reverse: bool = False,
+) -> ChainReport:
+    """The chain of ``_sandwich_terms`` around f(Phi(A)) with its outer terms.
+
+    Closed, five terms and both correction terms PSD as prerequisites:
+        (1/c) Phi(f(A)) <= (1/c){Phi(f(A)) + h corr_image} <= f(Phi(A))
+                        <= c Phi(f(A)) - h corr_point <= c Phi(f(A))
+    Open, four terms ending in f(Phi(A)) <= Phi(f(A)), and only the image
+    correction as a prerequisite.  ``reverse`` flips every link.  Links are
+    labelled ``prefix`` plus their position.
+    """
+    lower, upper = _sandwich_terms(ctx, const, half)
+    tail = [upper, const * ctx.phi_fA] if closed else [ctx.phi_fA]
+    terms = [(1.0 / const) * ctx.phi_fA, lower, ctx.f_phi_A, *tail]
+    pairs = [(b, a) if reverse else (a, b) for a, b in zip(terms, terms[1:])]
+    links = tuple(_claim(f"{prefix}{i}", a, b) for i, (a, b) in enumerate(pairs, 1))
+    corrections = ("image", "point") if closed else ("image",)
+    return ChainReport(label, links, tuple(ctx._correction_psd(which) for which in corrections))
 
 
 def refined_sandwich_chain(ctx: CdjContext) -> ChainReport:
@@ -320,24 +380,7 @@ def refined_sandwich_chain(ctx: CdjContext) -> ChainReport:
     if ctx.alpha <= 0.0:
         raise NotStrictlyConvex(f"alpha = {ctx.alpha!r} is not positive")
     big_k = K_constant(ctx.fn, ctx.m, ctx.M)
-    g_img = ctx.correction_image()
-    g_pt = ctx.correction_point()
-    t1 = (1.0 / big_k) * ctx.phi_fA
-    t2 = (1.0 / big_k) * (ctx.phi_fA + (ctx.alpha / 2.0) * g_img)
-    t3 = ctx.f_phi_A
-    t4 = big_k * ctx.phi_fA - (ctx.alpha / 2.0) * g_pt
-    t5 = big_k * ctx.phi_fA
-    links = (
-        _claim("refined_chain_link1", t1, t2),
-        _claim("refined_chain_link2", t2, t3),
-        _claim("refined_chain_link3", t3, t4),
-        _claim("refined_chain_link4", t4, t5),
-    )
-    prereqs = (
-        _psd_prerequisite("image_correction_psd", g_img),
-        _psd_prerequisite("point_correction_psd", g_pt),
-    )
-    return ChainReport("refined_chain", links, prereqs)
+    return _sandwich_chain(ctx, "refined_chain", "refined_chain_link", big_k, ctx.alpha / 2.0)
 
 
 def power_function_chain(
@@ -359,46 +402,20 @@ def power_function_chain(
         second derivative on the interval.
     """
     m, M = _interval_for(matrix, m, M, positive=True)
-    ctx = build_context(matrix, phi, catalog_lookup("power", [r]), m, M)
-    phi_Ar, phi_A_r = ctx.phi_fA, ctx.f_phi_A
-    g_img, g_pt = ctx.correction_image(), ctx.correction_point()
-    big_k = kantorovich_power_constant(m, M, r)
+    return _power_chain(build_context(matrix, phi, catalog_lookup("power", [r]), m, M), r)
+
+
+def _power_chain(ctx: CdjContext, r: float) -> ChainReport:
+    """``power_function_chain`` on a context whose function is t^r."""
+    big_k = kantorovich_power_constant(ctx.m, ctx.M, r)
     label = f"power_chain[r={r:g}]"
-    prereqs = [_psd_prerequisite("image_correction_psd", g_img)]
-    if r < -1.0 or r > 2.0:
-        gamma = r * (r - 1.0) * min(m ** (r - 2.0), M ** (r - 2.0))
-        t1 = (1.0 / big_k) * phi_Ar
-        t2 = (1.0 / big_k) * (phi_Ar + (gamma / 2.0) * g_img)
-        t4 = big_k * phi_Ar - (gamma / 2.0) * g_pt
-        t5 = big_k * phi_Ar
-        links = (
-            _claim("power_link1", t1, t2),
-            _claim("power_link2", t2, phi_A_r),
-            _claim("power_link3", phi_A_r, t4),
-            _claim("power_link4", t4, t5),
-        )
-        prereqs.append(_psd_prerequisite("point_correction_psd", g_pt))
-    elif -1.0 <= r <= 0.0 or 1.0 <= r <= 2.0:
-        gamma = r * (r - 1.0) * min(m ** (r - 2.0), M ** (r - 2.0))
-        t1 = (1.0 / big_k) * phi_Ar
-        t2 = (1.0 / big_k) * (phi_Ar + (gamma / 2.0) * g_img)
-        links = (
-            _claim("power_link1", t1, t2),
-            _claim("power_link2", t2, phi_A_r),
-            _claim("power_link3", phi_A_r, phi_Ar),
-        )
-    else:
-        # 0 < r < 1: t^r is concave, so beta = r(r-1) M^{r-2} < 0 is the
-        # relevant second-derivative bound and every comparison flips.
-        coeff = r * (1.0 - r) / (2.0 * M ** (2.0 - r))
-        t1 = (1.0 / big_k) * phi_Ar
-        t2 = (1.0 / big_k) * (phi_Ar - coeff * g_img)
-        links = (
-            _claim("power_link1", t2, t1),
-            _claim("power_link2", phi_A_r, t2),
-            _claim("power_link3", phi_Ar, phi_A_r),
-        )
-    return ChainReport(label, links, tuple(prereqs))
+    if 0.0 < r < 1.0:
+        # t^r is concave, so beta = r(r-1) M^{r-2} < 0 is the relevant
+        # second-derivative bound and every comparison flips.
+        half = -(r * (1.0 - r) / (2.0 * ctx.M ** (2.0 - r)))
+        return _sandwich_chain(ctx, label, "power_link", big_k, half, closed=False, reverse=True)
+    gamma = r * (r - 1.0) * min(ctx.m ** (r - 2.0), ctx.M ** (r - 2.0))
+    return _sandwich_chain(ctx, label, "power_link", big_k, gamma / 2.0, closed=r < -1.0 or r > 2.0)
 
 
 @dataclass(frozen=True)
@@ -430,13 +447,16 @@ def improved_kantorovich(
     m: float | None = None,
     M: float | None = None,
 ) -> ImprovedKantorovich:
-    dec = eigendecompose(matrix)
-    if float(dec.eigenvalues[0]) <= strict_positivity_tolerance(matrix):
+    if matrix.min_eigenvalue() <= strict_positivity_tolerance(matrix):
         raise NotPositiveDefinite("the operator must be strictly positive")
     m, M = _interval_for(matrix, m, M, positive=True)
-    ctx = build_context(matrix, phi, catalog_lookup("power", [-1.0]), m, M)
-    improvement = (1.0 / M**3) * ctx.correction_image()
-    classical_rhs = ((M + m) ** 2 / (4.0 * M * m)) * ctx.f_phi_A
+    return _improved_kantorovich(build_context(matrix, phi, catalog_lookup("power", [-1.0]), m, M))
+
+
+def _improved_kantorovich(ctx: CdjContext) -> ImprovedKantorovich:
+    """``improved_kantorovich`` on a context whose function is t^{-1}."""
+    improvement = (1.0 / ctx.M**3) * ctx.correction_image()
+    classical_rhs = ((ctx.M + ctx.m) ** 2 / (4.0 * ctx.M * ctx.m)) * ctx.f_phi_A
     improved_rhs = classical_rhs - improvement
     return ImprovedKantorovich(
         inequality=_claim("improved_kantorovich", ctx.phi_fA, improved_rhs),

@@ -42,7 +42,7 @@ from .spectral import (
     _vector_from_payload,
     loewner_compare,
 )
-from .verifier import FAMILIES, TrialSpec, random_density, run_campaign
+from .verifier import FAMILIES, MAX_TRIALS, TrialSpec, random_density, run_campaign
 
 __all__ = ["main", "render_json", "parse_json", "load_matrix_file", "load_vector_file"]
 
@@ -260,7 +260,9 @@ def cmd_entropy(args) -> int:
     rows = []
     if args.rho:
         rows.append(_entropy_row(DensityOperator(load_matrix_file(args.rho)), args.p))
-    elif args.random:
+    elif args.random is not None:
+        if not 1 <= args.random <= MAX_TRIALS:
+            raise BadParameter(f"--random must be between 1 and {MAX_TRIALS}, got {args.random}")
         seed = args.seed
         if seed is None:
             seed = int(os.environ.get("OPINEQ_SEED", DEFAULT_SEED))

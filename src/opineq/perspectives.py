@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import InequalityReport, _claim, _psd_prerequisite
+from .bounds import _claim
 from .errors import (
     BadParameter,
     DegenerateInterval,
@@ -39,7 +39,7 @@ from .maps import PositiveUnitalMap
 from .spectral import (
     SymmetricMatrix,
     _check_hull,
-    _power_values,
+    _conjugated_power,
     apply_scalar_function,
     eigendecompose,
     matrix_sqrt_inv_sqrt,
@@ -114,13 +114,7 @@ class OperatorPair:
 
     def natural_power(self, exponent: float) -> SymmetricMatrix:
         """A natural_p B through the cached sandwich decomposition."""
-        dec = eigendecompose(self.inner)
-        values, clamped = _power_values(dec.eigenvalues, exponent)
-        result = SymmetricMatrix(
-            self.root.entries @ dec.recombine(values) @ self.root.entries,
-            clamp_warning=clamped,
-        )
-        return result
+        return _conjugated_power(self.root, self.inner, exponent)
 
     def __repr__(self):
         return f"OperatorPair(dim={self.A.dim}, m={self.m:.6g}, M={self.M:.6g})"

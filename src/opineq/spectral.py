@@ -417,7 +417,11 @@ def natural_power(base: SymmetricMatrix, other: SymmetricMatrix, exponent: float
         raise ShapeError(f"dimension mismatch: {base.dim} vs {other.dim}")
     root, inv_root = matrix_sqrt_inv_sqrt(base)
     inner = SymmetricMatrix(inv_root.entries @ other.entries @ inv_root.entries)
+    return _conjugated_power(root, inner, exponent)
+
+
+def _conjugated_power(root: SymmetricMatrix, inner: SymmetricMatrix, exponent: float) -> SymmetricMatrix:
+    """root inner^exponent root, flagged by ``clamp_warning`` when ``_power_values`` clamped."""
     dec = eigendecompose(inner)
     values, clamped = _power_values(dec.eigenvalues, exponent)
-    mid = dec.recombine(values)
-    return SymmetricMatrix(root.entries @ mid @ root.entries, clamp_warning=clamped)
+    return SymmetricMatrix(root.entries @ dec.recombine(values) @ root.entries, clamp_warning=clamped)

@@ -19,19 +19,19 @@ from typing import Callable
 import numpy as np
 
 from .bounds import (
+    _improved_kantorovich,
+    _power_chain,
     build_context,
     chord_bounds,
-    improved_kantorovich,
     jensen_converse_bound,
     jensen_third_term,
     jensen_upper_bound,
-    power_function_chain,
     ratio_sandwich,
     ratio_sandwich_min,
     refined_sandwich_chain,
 )
 from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex
-from .functions import parse_function_spec
+from .functions import catalog_lookup, parse_function_spec
 from .maps import map_from_info
 from .perspectives import (
     DensityOperator,
@@ -132,6 +132,11 @@ class Family:
     params: dict = field(default_factory=dict)
 
 
+def _kantorovich(ctx):
+    """The sharpened Kantorovich inequality on the instance of ``ctx``."""
+    return _improved_kantorovich(ctx.with_function(catalog_lookup("power", [-1.0])))
+
+
 def _trace_checks(rho, sigma, p, m, M):
     bounds = tsallis_trace_bounds(rho, sigma, p, m, M)
     checks = (bounds.lower_check, bounds.upper_check, bounds.relative_check)
@@ -174,7 +179,7 @@ FAMILIES = {
         f"power_chain[r={r:g}]": Family(
             (f"power_chain[r={r:g}]",),
             "power_chain",
-            lambda matrix, phi, m, M, r: (power_function_chain(matrix, phi, r, m, M),),
+            lambda ctx, r: (_power_chain(ctx.with_function(catalog_lookup("power", [r])), r),),
             params={"r": r},
         )
         for r in POWER_CHAIN_RS
@@ -447,10 +452,10 @@ def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
     }
     ctx = build_context(matrix, phi, fn, m, M)
     # prepared whole: the strict-improvement statistic below reads it too
-    kant = improved_kantorovich(matrix, phi, m, M)
+    kant = _kantorovich(ctx)
     prepared = {
         "cdj": (ctx,),
-        "power_chain": (matrix, phi, m, M),
+        "power_chain": (ctx,),
         "kantorovich": (kant,),
         "pair": (pair, phi, fn, p),
         "trace_bounds": (rho, sigma, p_pos, relative_pair.m, relative_pair.M),
@@ -530,12 +535,9 @@ def _prepare(inputs: dict) -> tuple:
     if kind in ("cdj", "power_chain", "kantorovich"):
         matrix = _matrix_from_data(inputs["matrix"], dim)
         phi = map_from_info(inputs["map"], dim)
-        if kind == "power_chain":
-            return (matrix, phi, inputs["m"], inputs["M"])
-        if kind == "kantorovich":
-            return (improved_kantorovich(matrix, phi, inputs["m"], inputs["M"]),)
         fn = parse_function_spec(inputs["function"])
-        return (build_context(matrix, phi, fn, inputs["m"], inputs["M"]),)
+        ctx = build_context(matrix, phi, fn, inputs["m"], inputs["M"])
+        return (_kantorovich(ctx),) if kind == "kantorovich" else (ctx,)
     if kind == "pair":
         pair = OperatorPair(_matrix_from_data(inputs["A"], dim), _matrix_from_data(inputs["B"], dim))
         phi = map_from_info(inputs["map"], dim)

@@ -7,6 +7,7 @@ import pytest
 
 from opineq import TrialSpec, run_campaign
 from opineq.cli import load_matrix_file, main, parse_json, render_json
+from opineq.verifier import MAX_TRIALS
 
 FIXTURES = "src/opineq/fixtures"
 
@@ -216,6 +217,17 @@ class TestEntropyCommand:
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 6
         assert code in (0, 1)  # floors may legitimately fail for spread spectra
+
+    @pytest.mark.parametrize("count", [-5, 0, MAX_TRIALS + 1])
+    def test_random_count_out_of_range_exits_2_before_any_draw(self, count, monkeypatch, capsys):
+        def no_draw(*_args):
+            raise AssertionError("an out-of-range count must be rejected before its first draw")
+
+        monkeypatch.setattr("opineq.cli.random_density", no_draw)
+        assert main(["entropy", "--random", str(count)]) == 2
+        captured = capsys.readouterr()
+        assert f"between 1 and {MAX_TRIALS}" in captured.err
+        assert captured.out == ""
 
 
 class TestMatrixLoader:

@@ -1,0 +1,68 @@
+"""Every CDJ family of one instance reads one set of operator images.
+
+The trial's context is shared by the chord, Jensen, ratio and refined
+families, by the five power chains and by the sharpened Kantorovich
+inequality; ``CdjContext.with_function`` swaps only the function-dependent
+terms.  So a trial solves Phi(A) once and each correction-PSD prerequisite
+once.
+"""
+
+import collections
+
+import pytest
+
+from opineq import spectral
+from opineq.bounds import build_context
+from opineq.functions import catalog_lookup
+from opineq.maps import corner_map
+from opineq.verifier import TrialSpec, random_symmetric_with_spectrum, run_campaign
+
+
+@pytest.mark.parametrize("function, max_solves", [("power:3", 55), ("log", 47)])
+def test_trial_solves_each_input_once(function, max_solves, monkeypatch):
+    inputs = collections.Counter()
+    original = spectral._cyclic_jacobi
+
+    def counting(a, vectors=True):
+        inputs[(a.shape, a.tobytes())] += 1
+        return original(a, vectors)
+
+    monkeypatch.setattr(spectral, "_cyclic_jacobi", counting)
+    run_campaign(TrialSpec(seed=100, dim_range=(6, 6), trials=1,
+                           function_set=(function,), map_set=("corner",)))
+    repeats = sum(inputs.values()) - len(inputs)
+    # left: ratio_lower/ratio_upper compare the same pairs as the refined
+    # chain's two middle links, and tsallis_trace_bounds rebuilds the
+    # sandwich of its density pair
+    assert repeats <= 3
+    assert sum(inputs.values()) <= max_solves
+
+
+def _bits(matrix):
+    return matrix.entries.tobytes()
+
+
+def _interval_bits(bounds):
+    return [float.hex(float(getattr(bounds, key))) for key in ("m", "M", "alpha", "beta")]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("power", [-1.0]), ("power", [0.5]), ("power", [3.0]), ("log", []), ("exp", []),
+])
+def test_with_function_equals_a_fresh_context(name, params):
+    matrix = random_symmetric_with_spectrum(5, 4, 0.5, 3.0)
+    phi = corner_map(4, 3)
+    base = build_context(matrix, phi, catalog_lookup("power", [2.0]))
+    fn = catalog_lookup(name, params)
+    shared = base.with_function(fn)
+    fresh = build_context(matrix, phi, fn)
+    assert shared.fn is fn
+    assert _interval_bits(shared.bounds) == _interval_bits(fresh.bounds)
+    assert _bits(shared.phi_fA) == _bits(fresh.phi_fA)
+    assert _bits(shared.f_phi_A) == _bits(fresh.f_phi_A)
+    assert _bits(shared.correction_image()) == _bits(fresh.correction_image())
+    assert _bits(shared.correction_point()) == _bits(fresh.correction_point())
+    # the function-independent terms are shared, not rebuilt
+    assert shared.phi_A is base.phi_A
+    assert shared.correction_image() is base.correction_image()
+    assert shared.correction_point() is base.correction_point()

@@ -20,6 +20,7 @@ inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import (
     BadParameter,
@@ -44,9 +45,12 @@ from .spectral import (
     LoewnerVerdict,
     SymmetricMatrix,
     _check_hull,
+    _checked_tolerance,
+    _eigenvalues_many,
+    _loewner_tolerance,
+    _loewner_verdict,
     apply_scalar_function,
     eigendecompose,
-    loewner_compare,
     strict_positivity_tolerance,
 )
 
@@ -71,12 +75,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of one claimed comparison ``lhs <= rhs`` in the PSD order."""
+    """Outcome of one claimed comparison ``lhs <= rhs`` in the PSD order.
+
+    ``tolerance`` is the tolerance the gap rhs - lhs is judged at.  The
+    verdict is judged on first access, unless ``_judge`` judged it before,
+    together with other reports; the bits are the same either way.
+    """
 
     label: str
     lhs: SymmetricMatrix
     rhs: SymmetricMatrix
-    verdict: LoewnerVerdict
+    tolerance: float
+
+    @cached_property
+    def verdict(self) -> LoewnerVerdict:
+        gaps = _eigenvalues_many([(self.rhs - self.lhs).entries])[0]
+        return _loewner_verdict(gaps, self.tolerance)
 
     @property
     def tightness(self) -> float:
@@ -93,12 +107,41 @@ class InequalityReport:
 
 
 def _claim(label: str, lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol=None) -> InequalityReport:
-    return InequalityReport(label, lhs, rhs, loewner_compare(lhs, rhs, tol))
+    """The claim lhs <= rhs, judged as ``loewner_compare(lhs, rhs, tol)`` would judge it."""
+    return InequalityReport(label, lhs, rhs, _loewner_tolerance(lhs, rhs, tol))
 
 
 def with_tolerance(report: InequalityReport, tol: float) -> InequalityReport:
-    """Re-judge an existing report at a caller-chosen tolerance."""
-    return replace(report, verdict=loewner_compare(report.lhs, report.rhs, tol))
+    """Re-judge an existing report at a caller-chosen tolerance.
+
+    A report already judged lends its extreme gaps, so its gap is not solved again.
+    """
+    again = replace(report, tolerance=_checked_tolerance(tol))
+    if "verdict" in vars(report):
+        gaps = (report.verdict.gap_min_eig, report.verdict.gap_max_eig)
+        object.__setattr__(again, "verdict", _loewner_verdict(gaps, again.tolerance))
+    return again
+
+
+def _judge(reports, *matrices) -> list:
+    """Judge every pending comparison of ``reports`` in one batched solve.
+
+    ``reports`` may mix ``InequalityReport`` and ``ChainReport`` items with
+    other checks, which are passed over.  The eigenvalues of ``matrices``
+    (eigenvalues-only, ascending) are solved in the same call and returned.
+    """
+    pending = {}
+    for item in reports:
+        for report in item.reports if isinstance(item, ChainReport) else (item,):
+            if isinstance(report, InequalityReport) and "verdict" not in vars(report):
+                pending[id(report)] = report
+    spectra = _eigenvalues_many(
+        [(r.rhs - r.lhs).entries for r in pending.values()] + [m.entries for m in matrices]
+    )
+    for report, gaps in zip(pending.values(), spectra):
+        # a frozen dataclass: fill the cached_property as its first access would
+        object.__setattr__(report, "verdict", _loewner_verdict(gaps, report.tolerance))
+    return spectra[len(pending):]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import worked_examples
-from .bounds import build_context, with_tolerance
+from .bounds import _claim, _judge, build_context, with_tolerance
 from .errors import BadParameter, OpineqError
 from .functions import parse_function_spec
 from .maps import map_from_info
@@ -40,7 +40,6 @@ from .spectral import (
     SymmetricMatrix,
     _matrix_from_payload,
     _vector_from_payload,
-    loewner_compare,
 )
 from .verifier import FAMILIES, MAX_TRIALS, TrialSpec, random_density, run_campaign
 
@@ -150,7 +149,9 @@ def cmd_check(args) -> int:
             notes.append("ratio sandwich skipped: function is not positive on [m, M]")
     if args.tol is not None:
         reports = [with_tolerance(r, args.tol) for r in reports]
-    plain = loewner_compare(ctx.f_phi_A, ctx.phi_fA, args.tol)
+    plain_claim = _claim("plain_comparison", ctx.f_phi_A, ctx.phi_fA, args.tol)
+    _judge([*reports, plain_claim])  # every comparison once, at the tolerance reported
+    plain = plain_claim.verdict
     all_hold = all(r.holds for r in reports)
     if args.json:
         payload = {

@@ -382,6 +382,14 @@ def tsallis_trace_bounds(
     if not (0.0 < m < M):
         raise BadParameter(f"need 0 < m < M, got m={m!r}, M={M!r}")
     pair = OperatorPair(rho.rho, sigma.rho, m=m, M=M)  # SandwichViolated if not enclosed
+    return _tsallis_trace_bounds(rho, sigma, p, pair)
+
+
+def _tsallis_trace_bounds(
+    rho: DensityOperator, sigma: DensityOperator, p: float, pair: OperatorPair
+) -> TsallisTraceBounds:
+    """``tsallis_trace_bounds`` on the pair (rho, sigma) with the pair's m and M."""
+    m, M = pair.m, pair.M
     tau = pair.natural_power(2.0).trace
     trace_value = (pair.natural_power(p).trace - 1.0) / p
     spread = M + m - M * m

@@ -5,12 +5,21 @@ symmetric matrices.  The eigensolver is a cyclic Jacobi iteration with a
 fixed row-major sweep order, so its output is a pure function of the input
 across runs and platforms; the seeded fuzz harness relies on that.
 
-The solver rotates rows of Python floats and writes each new row into the
-matching column, so it relies on its input being bitwise symmetric: entry
-(i, j) and entry (j, i) are the same float.  ``SymmetricMatrix.__init__``
-guarantees this by averaging with the transpose.  Any other way of making a
-``SymmetricMatrix`` (a trusted constructor that skips validation, say) must
-keep that property, or the eigenvalue and eigenvector bits change.
+There are two kernels.  ``_cyclic_jacobi``, the list kernel, solves one
+matrix on rows of Python floats, with or without eigenvectors.
+``_jacobi_eigenvalues_batch`` solves a stack of same-size matrices for their
+eigenvalues only, one numpy step per rotation for the whole stack, and gives
+each matrix the list kernel's bits.  ``_eigenvalues_many`` picks between
+them by the number of distinct same-size matrices; Loewner comparisons that
+are judged together (a campaign trial's, say) go through it.
+
+Both kernels write each new row into the matching column, so they rely on
+their input being bitwise symmetric: entry (i, j) and entry (j, i) are the
+same float.  ``SymmetricMatrix.__init__`` guarantees this: it keeps
+bitwise-symmetric input as it is and averages any other input with its
+transpose.  Any other way of making a ``SymmetricMatrix`` (a trusted
+constructor that skips validation, say) must keep that property, or the
+eigenvalue and eigenvector bits change.
 """
 
 from __future__ import annotations
@@ -54,9 +63,11 @@ class SymmetricMatrix:
     """Immutable dense real symmetric matrix.
 
     Entries are symmetrized on construction; inputs whose asymmetry exceeds
-    ``1e-8 * max|entry|`` are rejected instead of silently averaged.  The
-    eigendecomposition and the (A^{1/2}, A^{-1/2}) pair are cached lazily,
-    which is what makes repeated bound evaluations on the same operator cheap.
+    ``1e-8 * max|entry|`` are rejected instead of silently averaged.
+    Bitwise-symmetric input is kept bit for bit, up to the largest finite
+    float.  The eigendecomposition and the (A^{1/2}, A^{-1/2}) pair are
+    cached lazily, which is what makes repeated bound evaluations on the
+    same operator cheap.
     """
 
     def __init__(self, entries, *, clamp_warning: bool = False):
@@ -65,13 +76,23 @@ class SymmetricMatrix:
             raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidMatrix("matrix entries must be finite")
-        scale = float(np.abs(arr).max())
-        asymmetry = float(np.abs(arr - arr.T).max())
-        if asymmetry > _ASYMMETRY_REL * scale:
-            raise InvalidMatrix(
-                f"asymmetry {asymmetry:.3e} exceeds {_ASYMMETRY_REL:.0e} * scale {scale:.3e}"
-            )
-        arr = (arr + arr.T) / 2.0
+        bits = arr.view(np.uint64)
+        # below overflow (x + x) / 2 == x, so bitwise-symmetric input is kept as it is
+        if not (bits == bits.T).all():
+            # x - y and x + y may overflow near the largest float: an infinite
+            # asymmetry is rejected, and an infinite sum becomes x/2 + y/2
+            with np.errstate(over="ignore"):
+                scale = float(np.abs(arr).max())
+                asymmetry = float(np.abs(arr - arr.T).max())
+                if asymmetry > _ASYMMETRY_REL * scale:
+                    raise InvalidMatrix(
+                        f"asymmetry {asymmetry:.3e} exceeds {_ASYMMETRY_REL:.0e} * scale {scale:.3e}"
+                    )
+                mean = (arr + arr.T) / 2.0
+            overflow = ~np.isfinite(mean)
+            if overflow.any():
+                mean[overflow] = (arr / 2.0 + arr.T / 2.0)[overflow]
+            arr = mean
         arr.setflags(write=False)
         self._entries = arr
         self._decomposition = None
@@ -267,6 +288,130 @@ def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
     return lam, np.array(qt)[order].T
 
 
+def _jacobi_eigenvalues_batch(stack: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a ``(k, n, n)`` stack, as ``(k, n)``.
+
+    Row i holds the bits of ``_cyclic_jacobi(stack[i], vectors=False)``: the
+    same power-of-two prescale and threshold, the same row-major pair order
+    and rotation formulas (the first-order tangent included) and the same
+    per-sweep stopping test, with numpy running each step on every matrix at
+    once.  Each matrix has its own rotation (c, s), skips its own zero
+    pivots and leaves the batch when its own stopping test passes, so its
+    bits never depend on the other matrices.  Every matrix must be bitwise
+    symmetric, as for ``_cyclic_jacobi``.  ``stack`` is not modified.
+    """
+    k, n, _ = stack.shape
+    if n == 1:
+        return stack[:, 0, :].copy()
+    # as in _cyclic_jacobi; np.frexp and np.ldexp give math.frexp's and math.ldexp's bits
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(stack).max(axis=(1, 2)))[1], 1023))
+    # np.linalg.norm sums in its own order, so it runs on each scaled matrix alone
+    threshold = np.array([_OFFDIAG_REL * float(np.linalg.norm(a * s)) for a, s in zip(stack, scale)])
+    # work[i, j] holds entry (i, j) of every live matrix, so a row is an (n, live) block
+    work = stack.transpose(1, 2, 0).copy()
+    work *= scale
+    live = np.arange(k)  # the input index of each live matrix
+    diagonal = np.arange(n)
+    strictly_upper = np.triu(np.ones((n, n)), 1)
+    out = np.empty((k, n))
+    pairs = [(p, r) for p in range(n - 1) for r in range(p + 1, n)]
+    # every matrix computes both branches of the tangent: the one it discards
+    # may divide by a zero pivot or overflow, and those warnings mean nothing
+    with np.errstate(all="ignore"):
+        for _ in range(_SWEEP_CAP):
+            # np.sum(np.triu(a, 1) ** 2) of each matrix: the same n * n values
+            # (a square times 1.0 or 0.0), summed in the same order
+            squares = work.transpose(2, 0, 1).copy()
+            np.multiply(squares, squares, out=squares)
+            squares *= strictly_upper
+            off = np.sqrt(2.0 * squares.reshape(live.size, n * n).sum(axis=1))
+            done = off <= threshold
+            if done.any():
+                lam = np.sort(work[diagonal, diagonal][:, done].T, axis=1, kind="stable")
+                out[live[done]] = lam / scale[live[done]][:, None]
+                keep = ~done
+                if not keep.any():
+                    return out
+                live = live[keep]
+                threshold = threshold[keep]
+                work = np.ascontiguousarray(work[:, :, keep])
+            for p, r in pairs:
+                row_p = work[p]
+                row_r = work[r]
+                apr = row_p[r]
+                diff = row_r[r] - row_p[p]
+                tau = diff / (2.0 * apr)
+                t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                # -t where tau < 0; adding 0.0 turns tau = -0.0 into +0.0, which keeps t
+                t = np.copysign(t, tau + 0.0)
+                first_order = np.abs(apr) < 1e-36 * np.abs(diff)
+                if first_order.any():  # angle underflows; first-order tangent
+                    t = np.where(first_order, apr / diff, t)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                new_p = c * row_p - s * row_r
+                new_r = s * row_p + c * row_r
+                # the 2x2 block gets the column update on top of the row update
+                new_p[p] = c * new_p[p] - s * new_p[r]
+                new_r[r] = s * new_r[p] + c * new_r[r]
+                new_p[r] = 0.0
+                new_r[p] = 0.0
+                if not apr.all():  # a zero pivot leaves its matrix untouched
+                    skip = apr == 0.0
+                    new_p = np.where(skip, row_p, new_p)
+                    new_r = np.where(skip, row_r, new_r)
+                work[p] = new_p
+                work[r] = new_r
+                work[:, p] = new_p
+                work[:, r] = new_r
+    raise ConvergenceError("Jacobi sweep cap reached without convergence")
+
+
+# Groups of at least this many distinct same-size eigenvalues-only solves go
+# to the batched kernel, smaller ones one at a time to the list kernel.  Both
+# give the same bits; this is where the batch starts to pay off (measured on
+# stacks of campaign gap matrices, see CHANGES.md).
+_BATCH_MIN = 12
+
+
+def _distinct(arrays):
+    """(the arrays with distinct bytes, the index into them of each array)."""
+    index_of: dict = {}  # bytes -> index into distinct
+    distinct = []
+    slots = []
+    for a in arrays:
+        key = a.tobytes()
+        if key not in index_of:
+            index_of[key] = len(distinct)
+            distinct.append(a)
+        slots.append(index_of[key])
+    return distinct, slots
+
+
+def _eigenvalues_many(arrays) -> list:
+    """Ascending eigenvalues of each bitwise-symmetric array, without eigenvectors.
+
+    Arrays with the same bytes are solved once.  The distinct arrays of one
+    size are solved by ``_jacobi_eigenvalues_batch`` when there are at least
+    ``_BATCH_MIN`` of them and by ``_cyclic_jacobi`` one at a time otherwise,
+    which gives the same bits.
+    """
+    distinct, slots = _distinct(arrays)
+    by_size: dict = {}
+    for i, a in enumerate(distinct):
+        by_size.setdefault(a.shape[0], []).append(i)
+    values = [None] * len(distinct)
+    for members in by_size.values():
+        if len(members) >= _BATCH_MIN:
+            batch = _jacobi_eigenvalues_batch(np.stack([distinct[i] for i in members]))
+            for i, lam in zip(members, batch):
+                values[i] = lam
+        else:
+            for i in members:
+                values[i] = _cyclic_jacobi(distinct[i], vectors=False)[0]
+    return [values[i] for i in slots]
+
+
 def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors by cyclic Jacobi.
 
@@ -337,13 +482,27 @@ def loewner_compare(lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol: float | Non
     [[1, 2], [2, 1]] * 1e-150 compare EQUAL although the gaps are -1e-150 and
     3e-150.  Pass ``tol`` (0.0, say) to compare operands that small.
     """
+    tol = _loewner_tolerance(lhs, rhs, tol)
+    return _loewner_verdict(_cyclic_jacobi((rhs - lhs).entries, vectors=False)[0], tol)
+
+
+def _checked_tolerance(tol: float) -> float:
+    if tol < 0.0:
+        raise BadParameter("tolerance must be nonnegative")
+    return float(tol)
+
+
+def _loewner_tolerance(lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol: float | None = None) -> float:
+    """The tolerance ``loewner_compare`` judges rhs - lhs at, once the operands are checked."""
     if lhs.dim != rhs.dim:
         raise ShapeError(f"dimension mismatch: {lhs.dim} vs {rhs.dim}")
     if tol is None:
         tol = 1e-8 * (1.0 + max(lhs.norm_max, rhs.norm_max))
-    if tol < 0.0:
-        raise BadParameter("tolerance must be nonnegative")
-    gaps, _ = _cyclic_jacobi((rhs - lhs).entries, vectors=False)
+    return _checked_tolerance(tol)
+
+
+def _loewner_verdict(gaps: np.ndarray, tol: float) -> LoewnerVerdict:
+    """The verdict on rhs - lhs from its ascending eigenvalues ``gaps``."""
     gap_min = float(gaps[0])
     gap_max = float(gaps[-1])
     le = gap_min >= -tol

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from opineq import TrialSpec, run_campaign
+from opineq import TrialSpec, run_campaign, spectral
 from opineq.cli import load_matrix_file, main, parse_json, render_json
 from opineq.verifier import MAX_TRIALS
 
@@ -111,6 +112,33 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
+
+    def test_tolerance_override_judges_each_comparison_once(self, capsys, monkeypatch):
+        solves = collections.Counter()
+        one_by_one = spectral._cyclic_jacobi
+        batched = spectral._jacobi_eigenvalues_batch
+
+        def counting(a, vectors=True):
+            solves["list"] += 1
+            return one_by_one(a, vectors)
+
+        def counting_batch(stack):
+            solves["batch"] += len(stack)
+            return batched(stack)
+
+        monkeypatch.setattr(spectral, "_cyclic_jacobi", counting)
+        monkeypatch.setattr(spectral, "_jacobi_eigenvalues_batch", counting_batch)
+        argv = ["check", "--matrix", f"{FIXTURES}/quartic_corner_3x3.json",
+                "--map", "identity", "--function", "power:4", "--json"]
+        counts = []
+        for extra in ([], ["--tol", "1e-6"]):
+            solves.clear()
+            main(argv + extra)
+            payload = json.loads(capsys.readouterr().out)
+            counts.append(sum(solves.values()))
+        # a context's own solves plus one per comparison, the plain one included
+        assert counts[0] == counts[1]
+        assert payload["reports"][0]["tolerance"] == 1e-6
 
     def test_one_dimensional_corner_exits_2(self, tmp_path):
         path = write_matrix(tmp_path, "one.json", 1, [2.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,40 @@ class TestSymmetricMatrix:
         a = SymmetricMatrix.identity(2)
         with pytest.raises(ValueError):
             a.entries[0, 0] = 5.0
+
+    @pytest.mark.parametrize("big", [1.7e308, -1.7e308])
+    def test_near_max_entries_stay_finite(self, big):
+        # (x + x) / 2 overflows above about 8.99e307
+        entries = np.array([[big, 0.5 * big], [0.5 * big, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = SymmetricMatrix(entries)
+            values = eigendecompose(SymmetricMatrix([[big, 0.0], [0.0, 1.0]])).eigenvalues
+        assert matrix.entries.tobytes() == entries.tobytes()
+        assert np.array_equal(values, sorted([big, 1.0]))
+
+    def test_near_max_asymmetric_entries_average_without_overflow(self):
+        big = 1.7e308
+        above = np.nextafter(big, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = SymmetricMatrix([[1.0, big], [above, 1.0]])
+        assert np.isfinite(matrix.entries).all()
+        assert matrix.entries[0, 1] == matrix.entries[1, 0]
+        assert big <= matrix.entries[0, 1] <= above
+
+    def test_opposite_near_max_entries_are_rejected_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrix):
+                SymmetricMatrix([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+    def test_symmetric_input_is_kept_bit_for_bit(self):
+        entries = np.array([[-0.0, 2.0**-1074, 3.0], [2.0**-1074, 1e-300, -0.0], [3.0, -0.0, 1.0]])
+        assert SymmetricMatrix(entries).entries.tobytes() == entries.tobytes()
+        # an entry pair that differs only in the sign of zero averages to +0.0, as before
+        mixed = SymmetricMatrix([[1.0, -0.0], [0.0, 1.0]]).entries
+        assert np.signbit(mixed).sum() == 0
 
 
 class TestEigendecompose:

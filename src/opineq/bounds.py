@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .errors import (
-    BadParameter,
     DegenerateInterval,
     NonPositiveConstant,
     NotPositiveDefinite,
@@ -34,6 +33,7 @@ from .functions import (
     IntervalBounds,
     K_constant,
     ScalarFunction,
+    _check_positive_interval,
     catalog_lookup,
     chord_line,
     k_constant,
@@ -47,6 +47,7 @@ from .spectral import (
     _check_hull,
     _checked_tolerance,
     _eigenvalues_many,
+    _interval_or_hull,
     _loewner_tolerance,
     _loewner_verdict,
     apply_scalar_function,
@@ -246,17 +247,13 @@ def _interval_for(matrix: SymmetricMatrix, m, M, *, positive=False):
     dec = eigendecompose(matrix)
     lo = float(dec.eigenvalues[0])
     hi = float(dec.eigenvalues[-1])
-    if m is None:
-        m = lo
-    if M is None:
-        M = hi
-    m, M = float(m), float(M)
+    m, M = _interval_or_hull(lo, hi, m, M)
     tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
     _check_hull(lo, hi, m, M, tol, SpectrumNotEnclosed, "spectrum")
     if m == M:
         raise DegenerateInterval("m == M: the operator is a scalar; chord undefined")
-    if positive and m <= 0.0:
-        raise BadParameter(f"need 0 < m, got m={m!r}")
+    if positive:
+        _check_positive_interval(m, M)
     return m, M
 
 

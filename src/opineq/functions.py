@@ -246,6 +246,12 @@ def parse_function_spec(spec: str) -> ScalarFunction:
     return catalog_lookup(name.strip(), params)
 
 
+def _check_positive_interval(m: float, M: float) -> None:
+    """Raise ``BadParameter`` unless 0 < m < M, as sandwich and Kantorovich constants need."""
+    if not (0.0 < m < M):
+        raise BadParameter(f"need 0 < m < M, got m={m!r}, M={M!r}")
+
+
 def _check_interval(fn: ScalarFunction, m: float, M: float) -> None:
     if not m < M:
         raise DomainViolation(f"need m < M, got m={m!r}, M={M!r}")
@@ -366,8 +372,7 @@ def kantorovich_power_constant(m: float, M: float, r: float) -> float:
     convex this equals the maximum of chord/f; for r in (0, 1) it equals the
     minimum (the function is concave there).
     """
-    if not (0.0 < m < M):
-        raise BadParameter(f"need 0 < m < M, got m={m!r}, M={M!r}")
+    _check_positive_interval(m, M)
     if abs(r) < _PARAM_TOL or abs(r - 1.0) < _PARAM_TOL:
         return 1.0
     numer = m * M**r - M * m**r

@@ -23,7 +23,6 @@ from .bounds import _claim
 from .errors import (
     BadParameter,
     DegenerateInterval,
-    DomainViolation,
     NotPositiveDefinite,
     SandwichViolated,
     ShapeError,
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .functions import (
     ScalarFunction,
+    _check_positive_interval,
     _validate_entropy_order,
     catalog_lookup,
     second_derivative_range,
@@ -39,7 +39,9 @@ from .maps import PositiveUnitalMap
 from .spectral import (
     SymmetricMatrix,
     _check_hull,
+    _checked_tolerance,
     _conjugated_power,
+    _interval_or_hull,
     apply_scalar_function,
     eigendecompose,
     matrix_sqrt_inv_sqrt,
@@ -89,11 +91,7 @@ class OperatorPair:
             raise NotPositiveDefinite(
                 f"B is not positive relative to A (sandwiched eigenvalue {lo:.6e})"
             )
-        if m is None:
-            m = lo
-        if M is None:
-            M = hi
-        m, M = float(m), float(M)
+        m, M = _interval_or_hull(lo, hi, m, M)
         tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
         _check_hull(lo, hi, m, M, tol, SandwichViolated, "sandwiched spectrum")
         if m == M:
@@ -159,15 +157,13 @@ def perspective_bounds(pair: OperatorPair, fn: ScalarFunction):
 def tsallis_relative_operator_entropy(pair: OperatorPair, p: float) -> SymmetricMatrix:
     """(A natural_p B - A) / p for p in [-1, 1] excluding 0."""
     p = _validate_entropy_order(p)
-    if pair.m <= 0.0:
-        raise BadParameter("the sandwich constant m must be positive")
+    _check_positive_interval(pair.m, pair.M)
     return (1.0 / p) * (pair.natural_power(p) - pair.A)
 
 
 def relative_operator_entropy(pair: OperatorPair) -> SymmetricMatrix:
     """A^{1/2} log(A^{-1/2} B A^{-1/2}) A^{1/2}; the p -> 0 limit of the above."""
-    if pair.m <= 0.0:
-        raise DomainViolation("the sandwich constant m must be positive for log")
+    _check_positive_interval(pair.m, pair.M)
     return perspective(pair, catalog_lookup("log"))
 
 
@@ -188,12 +184,10 @@ def tsallis_entropy_bounds(pair: OperatorPair, p: float):
     logarithm's second derivative over [m, M], halved.
     """
     p = _validate_entropy_order(p)
-    if pair.m <= 0.0:
-        raise BadParameter("the sandwich constant m must be positive")
+    value = tsallis_relative_operator_entropy(pair, p)  # checks 0 < m
     m, M = pair.m, pair.M
     chord = _tsallis_chord(pair, p)
     corr = sandwich_correction(pair)
-    value = tsallis_relative_operator_entropy(pair, p)
     low_coeff = (1.0 - p) / (2.0 * M ** (2.0 - p))
     high_coeff = (1.0 - p) / (2.0 * m ** (2.0 - p))
     return (
@@ -209,14 +203,12 @@ def relative_entropy_bounds(pair: OperatorPair):
 
     with Ls = ((B - mA) log M + (MA - B) log m)/(M - m).
     """
-    if pair.m <= 0.0:
-        raise DomainViolation("the sandwich constant m must be positive")
+    value = relative_operator_entropy(pair)  # checks 0 < m
     m, M = pair.m, pair.M
     chord = (1.0 / (M - m)) * (
         (pair.B - m * pair.A) * math.log(M) + (M * pair.A - pair.B) * math.log(m)
     )
     corr = sandwich_correction(pair)
-    value = relative_operator_entropy(pair)
     return (
         _claim("relative_entropy_lower", chord - (1.0 / (2.0 * M**2)) * corr, value),
         _claim("relative_entropy_upper", value, chord - (1.0 / (2.0 * m**2)) * corr),
@@ -264,13 +256,9 @@ class DensityOperator:
         hi = float(dec.eigenvalues[-1])
         if lo <= strict_positivity_tolerance(rho):
             raise NotPositiveDefinite(f"density operator must be strictly positive, min eig {lo:.6e}")
-        if hi > 1.0 + 1e-12:
-            raise SpectrumNotEnclosed(f"eigenvalue {hi!r} outside (0, 1]")
-        if m is None:
-            m = lo
-        if M is None:
-            M = min(hi, 1.0)
-        m, M = float(m), float(M)
+        # at unit trace, with every eigenvalue above that floor, none exceeds
+        # 1 + 1e-12; the hull check below holds the spectrum inside a given M
+        m, M = _interval_or_hull(lo, min(hi, 1.0), m, M)
         if not (0.0 < m <= M <= 1.0 + 1e-12):
             raise BadParameter(f"need 0 < m <= M <= 1, got m={m!r}, M={M!r}")
         _check_hull(lo, hi, m, M, 1e-12, SpectrumNotEnclosed, "spectrum")
@@ -334,7 +322,7 @@ class ScalarCheck:
 
 
 def _scalar_check(label: str, lhs: float, rhs: float, tol_rel: float = 1e-8) -> ScalarCheck:
-    tol = tol_rel * (1.0 + max(abs(lhs), abs(rhs)))
+    tol = _checked_tolerance(tol_rel) * (1.0 + max(abs(lhs), abs(rhs)))
     return ScalarCheck(label, float(lhs), float(rhs), tol)
 
 
@@ -379,8 +367,7 @@ def tsallis_trace_bounds(
     not re-derived).
     """
     p = _validate_entropy_order(p)
-    if not (0.0 < m < M):
-        raise BadParameter(f"need 0 < m < M, got m={m!r}, M={M!r}")
+    _check_positive_interval(m, M)
     pair = OperatorPair(rho.rho, sigma.rho, m=m, M=M)  # SandwichViolated if not enclosed
     return _tsallis_trace_bounds(rho, sigma, p, pair)
 

@@ -10,8 +10,9 @@ matrix on rows of Python floats, with or without eigenvectors.
 ``_jacobi_eigenvalues_batch`` solves a stack of same-size matrices for their
 eigenvalues only, one numpy step per rotation for the whole stack, and gives
 each matrix the list kernel's bits.  ``_eigenvalues_many`` picks between
-them by the number of distinct same-size matrices; Loewner comparisons that
-are judged together (a campaign trial's, say) go through it.
+them by the number of distinct same-size matrices, and every eigenvalues-only
+solve goes through it: each Loewner comparison, alone or judged together with
+others (a campaign trial's, say).
 
 Both kernels write each new row into the matching column, so they rely on
 their input being bitwise symmetric: entry (i, j) and entry (j, i) are the
@@ -200,6 +201,11 @@ def _vector_from_payload(payload: dict, source: str) -> np.ndarray:
     if len(data) != dim:
         raise InvalidMatrix(f"{source}: expected {dim} entries, got {len(data)}")
     return np.array(data, dtype=float)
+
+
+def _interval_or_hull(lo: float, hi: float, m, M) -> tuple[float, float]:
+    """(m, M) as floats; either one left as ``None`` defaults to its end of the hull [lo, hi]."""
+    return float(lo if m is None else m), float(hi if M is None else M)
 
 
 def _check_hull(lo: float, hi: float, m: float, M: float, tol: float, error, what: str) -> None:
@@ -480,16 +486,19 @@ def loewner_compare(lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol: float | Non
     default tolerance scales with the operands, 1e-8 * (1 + max norm).  Below
     scale 1 that default is absolute, about 1e-8: zeros against
     [[1, 2], [2, 1]] * 1e-150 compare EQUAL although the gaps are -1e-150 and
-    3e-150.  Pass ``tol`` (0.0, say) to compare operands that small.
+    3e-150.  Pass ``tol`` (0.0, say) to compare operands that small.  A
+    ``tol`` that is negative, infinite or NaN raises ``BadParameter``.
     """
     tol = _loewner_tolerance(lhs, rhs, tol)
-    return _loewner_verdict(_cyclic_jacobi((rhs - lhs).entries, vectors=False)[0], tol)
+    return _loewner_verdict(_eigenvalues_many([(rhs - lhs).entries])[0], tol)
 
 
 def _checked_tolerance(tol: float) -> float:
-    if tol < 0.0:
-        raise BadParameter("tolerance must be nonnegative")
-    return float(tol)
+    """``tol`` as a float; every tolerance a caller passes in is checked here."""
+    tol = float(tol)
+    if not 0.0 <= tol < math.inf:  # NaN fails this too
+        raise BadParameter(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def _loewner_tolerance(lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol: float | None = None) -> float:

@@ -32,7 +32,7 @@ from .bounds import (
     refined_sandwich_chain,
 )
 from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex
-from .functions import catalog_lookup, parse_function_spec
+from .functions import _check_positive_interval, catalog_lookup, parse_function_spec
 from .maps import map_from_info
 from .perspectives import (
     DensityOperator,
@@ -47,7 +47,7 @@ from .perspectives import (
     von_neumann_lower_bound,
 )
 from .rng import SplitMix64, derive_seed
-from .spectral import SymmetricMatrix, matrix_sqrt_inv_sqrt
+from .spectral import SymmetricMatrix, _checked_tolerance, _matrix_from_payload, matrix_sqrt_inv_sqrt
 
 __all__ = [
     "TrialSpec",
@@ -99,7 +99,7 @@ class TrialSpec:
             raise BadParameter(
                 f"bad dimension range {self.dim_range!r}: need 2 <= lo <= hi <= {MAX_DIM}"
             )
-        if self.tolerance <= 0.0:
+        if _checked_tolerance(self.tolerance) == 0.0:
             raise BadParameter("tolerance must be positive")
         if not self.function_set or not self.map_set:
             raise BadParameter("function and map sets must be nonempty")
@@ -287,8 +287,7 @@ def random_sandwich_pair(seed: int, dim: int, m: float, M: float) -> OperatorPai
     The returned pair carries the exact spectral hull of the sandwiched
     matrix, which is contained in the requested [m, M] by construction.
     """
-    if not (0.0 < m < M):
-        raise BadParameter(f"need 0 < m < M, got m={m!r}, M={M!r}")
+    _check_positive_interval(m, M)
     base = random_symmetric_with_spectrum(derive_seed(seed, 1), dim, 0.5, 2.0)
     inner = random_symmetric_with_spectrum(derive_seed(seed, 2), dim, m, M)
     root, _ = matrix_sqrt_inv_sqrt(base)
@@ -315,10 +314,6 @@ def _make_map(tag: str, dim: int, rng: SplitMix64):
         info["weights"] = [0.5, 0.5]
         info["factors"] = [[[float(x) for x in row] for row in f] for f in factors]
     return map_from_info(info, dim), info
-
-
-def _matrix_from_data(values: list, dim: int) -> SymmetricMatrix:
-    return SymmetricMatrix(np.array(values).reshape(dim, dim))
 
 
 def _matrix_data(matrix: SymmetricMatrix) -> list:
@@ -539,19 +534,23 @@ def _prepare(inputs: dict) -> tuple:
     """Rebuild the prepared inputs of a reproducer record's kind."""
     kind = inputs["kind"]
     dim = inputs["dim"]
+
+    def matrix(key: str) -> SymmetricMatrix:
+        return _matrix_from_payload({"dim": dim, "data": inputs[key]}, key)
+
     if kind in ("cdj", "power_chain", "kantorovich"):
-        matrix = _matrix_from_data(inputs["matrix"], dim)
+        operator = matrix("matrix")
         phi = map_from_info(inputs["map"], dim)
         fn = parse_function_spec(inputs["function"])
-        ctx = build_context(matrix, phi, fn, inputs["m"], inputs["M"])
+        ctx = build_context(operator, phi, fn, inputs["m"], inputs["M"])
         return (_kantorovich(ctx),) if kind == "kantorovich" else (ctx,)
     if kind == "pair":
-        pair = OperatorPair(_matrix_from_data(inputs["A"], dim), _matrix_from_data(inputs["B"], dim))
+        pair = OperatorPair(matrix("A"), matrix("B"))
         phi = map_from_info(inputs["map"], dim)
         return (pair, phi, parse_function_spec(inputs["function"]), inputs["p"])
-    rho = DensityOperator(_matrix_from_data(inputs["rho"], dim))
+    rho = DensityOperator(matrix("rho"))
     if kind == "trace_bounds":
-        sigma = DensityOperator(_matrix_from_data(inputs["sigma"], dim))
+        sigma = DensityOperator(matrix("sigma"))
         return (rho, sigma, inputs["p"], OperatorPair(rho.rho, sigma.rho, inputs["m"], inputs["M"]))
     return (rho, inputs["p"])
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from opineq import (
+    BadParameter,
     DegenerateInterval,
     LoewnerRelation,
     NormalizedTrace,
@@ -212,6 +215,13 @@ class TestRatioSandwich:
         again = with_tolerance(report, report.verdict.tolerance_used)
         assert again.verdict == report.verdict
 
+    @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
+    def test_retolerance_must_be_finite_and_nonnegative(self, tol):
+        from opineq import with_tolerance
+
+        with pytest.raises(BadParameter):
+            with_tolerance(jensen_upper_bound(cube_context()), tol)
+
 
 class TestRefinedChain:
     def test_square_chain(self):
@@ -288,6 +298,11 @@ class TestPowerFunctionChain:
             SymmetricMatrix([[1.2, 0.3], [0.3, 2.4]]), NormalizedTrace(2), -2.0
         )
         assert chain.holds
+
+    @pytest.mark.parametrize("spectrum, m", [([0.0, 2.0], None), ([1.0, 2.0], 0.0), ([1.0, 2.0], -1.0)])
+    def test_interval_must_be_positive(self, spectrum, m):
+        with pytest.raises(BadParameter):
+            power_function_chain(SymmetricMatrix.diagonal(spectrum), NormalizedTrace(2), 2.0, m)
 
     def test_random_batch_all_cases(self):
         for i in range(100):

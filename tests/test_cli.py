@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from opineq import TrialSpec, run_campaign, spectral
-from opineq.cli import load_matrix_file, main, parse_json, render_json
+from opineq import BadParameter, TrialSpec, run_campaign, spectral
+from opineq.cli import _build_parser, load_matrix_file, main, parse_json, render_json
 from opineq.verifier import MAX_TRIALS
 
 FIXTURES = "src/opineq/fixtures"
+CUBE = f"{FIXTURES}/cube_vector_state_3x3.json"
 
 
 def write_matrix(tmp_path, name, dim, data):
@@ -140,6 +141,15 @@ class TestCheckCommand:
         assert counts[0] == counts[1]
         assert payload["reports"][0]["tolerance"] == 1e-6
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2_before_any_report(self, tol, json_flag, capsys):
+        code = main(["check", "--matrix", CUBE, "--function", "power:3", "--tol", tol, *json_flag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tolerance must be finite" in captured.err
+
     def test_one_dimensional_corner_exits_2(self, tmp_path):
         path = write_matrix(tmp_path, "one.json", 1, [2.0])
         assert main(["check", "--matrix", path, "--map", "corner", "--function", "power:2"]) == 2
@@ -194,13 +204,18 @@ class TestFuzzCommand:
     def test_bad_dims_exit_2(self, tmp_path):
         assert main(["fuzz", "--dims", "nope", "--out", str(tmp_path / "r.json")]) == 2
 
-    def test_oversized_dims_exit_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [("--dims", "2..10000", "dimension range"), ("--tol", "nan", "tolerance must be finite")],
+        ids=["oversized_dims", "nan_tolerance"],
+    )
+    def test_bad_spec_exits_2_before_any_trial(self, option, value, message, tmp_path, monkeypatch, capsys):
         def no_trial(*_args):
-            raise AssertionError("an oversized spec must be rejected before its first trial")
+            raise AssertionError("a bad spec must be rejected before its first trial")
 
         monkeypatch.setattr("opineq.verifier._run_trial", no_trial)
-        assert main(["fuzz", "--dims", "2..10000", "--out", str(tmp_path / "r.json")]) == 2
-        assert "dimension range" in capsys.readouterr().err
+        assert main(["fuzz", option, value, "--out", str(tmp_path / "r.json")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
 
@@ -256,6 +271,26 @@ class TestEntropyCommand:
         captured = capsys.readouterr()
         assert f"between 1 and {MAX_TRIALS}" in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--matrix", CUBE, "--function", "power:3", "--map", "vecstate"], "vecstate needs"),
+        (["check", "--matrix", CUBE, "--function", "power:3", "--map", "pinching"], "unknown map spec"),
+        (["fuzz", "--dims", "2..x"], "bad dimension range"),
+        (["entropy"], "provide --rho"),
+    ],
+    ids=["vecstate_without_path", "unknown_map", "non_integer_dims", "entropy_without_input"],
+)
+def test_usage_error_raises_bad_parameter_and_exits_2(argv, message, capsys):
+    args = _build_parser().parse_args(argv)
+    with pytest.raises(BadParameter, match=message):
+        args.handler(args)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 class TestMatrixLoader:

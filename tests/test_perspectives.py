@@ -5,6 +5,7 @@ import pytest
 
 from opineq import (
     BadParameter,
+    DegenerateInterval,
     DensityOperator,
     LoewnerRelation,
     NotPositiveDefinite,
@@ -75,6 +76,13 @@ class TestOperatorPair:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             OperatorPair(SymmetricMatrix.identity(2), SymmetricMatrix.identity(3))
+
+    # B = 2A puts the whole sandwiched spectrum at 2; m = 2 + 1e-13 still
+    # encloses it within the hull tolerance, but lies above M
+    @pytest.mark.parametrize("m, error", [(2.0, DegenerateInterval), (2.0 + 1e-13, BadParameter)])
+    def test_interval_must_be_nonempty(self, m, error):
+        with pytest.raises(error):
+            OperatorPair(SymmetricMatrix.identity(2), 2.0 * SymmetricMatrix.identity(2), m=m, M=2.0)
 
     def test_sandwich_holds_by_construction(self):
         from opineq import loewner_compare
@@ -233,6 +241,23 @@ class TestRelativeOperatorEntropy:
         assert np.abs(out.entries - np.diag([math.log(2.0), -math.log(2.0)])).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "entropy",
+    [
+        lambda pair: tsallis_relative_operator_entropy(pair, 0.5),
+        relative_operator_entropy,
+        lambda pair: tsallis_entropy_bounds(pair, 0.5),
+        relative_entropy_bounds,
+    ],
+    ids=["tsallis", "relative", "tsallis_bounds", "relative_bounds"],
+)
+def test_entropies_need_positive_sandwich_constant(entropy):
+    # the hull [1, 2] allows widening m down to 0, where the entropies are undefined
+    pair = OperatorPair(SymmetricMatrix.identity(2), SymmetricMatrix.diagonal([1.0, 2.0]), m=0.0)
+    with pytest.raises(BadParameter):
+        entropy(pair)
+
+
 class TestEntropyBounds:
     def test_tsallis_endpoint_collapse(self):
         base = SymmetricMatrix([[1.5, 0.2], [0.2, 1.1]])
@@ -366,6 +391,12 @@ class TestQuantumEntropies:
         with pytest.raises(NotPositiveDefinite):
             DensityOperator(SymmetricMatrix.diagonal([1.0, 0.0]))
 
+    def test_plain_array_input(self):
+        assert np.array_equal(DensityOperator(np.diag([0.3, 0.7])).rho.entries, np.diag([0.3, 0.7]))
+        # at unit trace an eigenvalue above 1 forces one below 0, which positivity rejects
+        with pytest.raises(NotPositiveDefinite):
+            DensityOperator(np.diag([1.5, -0.5]))
+
     def test_user_bounds_must_enclose_spectrum(self):
         from opineq import SpectrumNotEnclosed
 
@@ -447,6 +478,12 @@ class TestTsallisTraceBounds:
         with pytest.raises(SandwichViolated):
             tsallis_trace_bounds(rho, sigma, 0.5, m=1.0, M=1.1)
 
+    @pytest.mark.parametrize("m, M", [(0.0, 1.1), (-0.5, 1.1), (1.1, 0.9)])
+    def test_interval_must_be_positive(self, m, M):
+        rho = density(0.4, 0.6)
+        with pytest.raises(BadParameter):
+            tsallis_trace_bounds(rho, rho, 0.5, m, M)
+
     def test_random_states(self):
         for i in range(60):
             rng = SplitMix64(derive_seed(506, i))
@@ -460,6 +497,14 @@ class TestTsallisTraceBounds:
 
 
 class TestEntropyFloors:
+    @pytest.mark.parametrize("tol_rel", [-1e-10, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol_rel):
+        rho = density(0.4, 0.6)
+        with pytest.raises(BadParameter):
+            quantum_tsallis_lower_bound(rho, 0.5, tol_rel)
+        with pytest.raises(BadParameter):
+            von_neumann_lower_bound(rho, tol_rel)
+
     def test_tsallis_floor_reference(self):
         rho = density(0.3, 0.7)
         check = quantum_tsallis_lower_bound(rho, 0.5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opineq import (
+    BadParameter,
     DomainViolation,
     InvalidMatrix,
     LoewnerRelation,
@@ -24,7 +25,7 @@ from opineq import (
     natural_power,
     random_symmetric_with_spectrum,
 )
-from opineq.spectral import _cyclic_jacobi
+from opineq.spectral import _cyclic_jacobi, _matrix_from_payload, _vector_from_payload
 
 
 def inverse_2x2_oracle(a):
@@ -96,6 +97,13 @@ class TestSymmetricMatrix:
         # an entry pair that differs only in the sign of zero averages to +0.0, as before
         mixed = SymmetricMatrix([[1.0, -0.0], [0.0, 1.0]]).entries
         assert np.signbit(mixed).sum() == 0
+
+
+@pytest.mark.parametrize("parse", [_matrix_from_payload, _vector_from_payload])
+def test_payload_of_wrong_length_is_rejected(parse):
+    # a 2x2 matrix needs 4 entries and a 2-vector 2, so 3 fit neither
+    with pytest.raises(InvalidMatrix, match="x.json: expected"):
+        parse({"dim": 2, "data": [1.0, 2.0, 3.0]}, "x.json")
 
 
 class TestEigendecompose:
@@ -282,6 +290,11 @@ class TestLoewnerCompare:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             loewner_compare(SymmetricMatrix.identity(2), SymmetricMatrix.identity(3))
+
+    @pytest.mark.parametrize("tol", [-1e-8, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(BadParameter):
+            loewner_compare(SymmetricMatrix.identity(2), SymmetricMatrix.identity(2), tol)
 
     def test_symmetry_property(self):
         for i in range(200):

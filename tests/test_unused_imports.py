@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -40,3 +41,30 @@ def test_modules_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Private (single leading underscore) names a module binds at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(target.id for target in targets if isinstance(target, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_no_unused_private_names():
+    defined = {}
+    used = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.update((f"{path.name}:{name}", name) for name in _private_definitions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert len(defined) >= 60
+    assert sorted(where for where, name in defined.items() if name not in used) == []

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from opineq import (
     BadParameter,
+    InvalidMatrix,
     SymmetricMatrix,
     TrialSpec,
     derive_seed,
@@ -86,6 +89,9 @@ class TestCampaign:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(BadParameter):
             run_campaign(TrialSpec(trials=1, tolerance=0.0))
+        for tolerance in (math.nan, math.inf):
+            with pytest.raises(BadParameter):
+                TrialSpec(tolerance=tolerance).validate()
 
     def test_size_limits_admit_current_uses(self):
         TrialSpec().validate()
@@ -268,6 +274,12 @@ class TestCampaign:
             replay_failure(dict(record, label="no_such_bound"))
         with pytest.raises(BadParameter):
             replay_failure(dict(record, label="jensen_upper"))
+        cdj = {
+            "kind": "cdj", "matrix": [2.0, 0.0, 0.0], "dim": 2, "map": {"tag": "trace"},
+            "function": "power:3", "m": 1.0, "M": 2.0,
+        }
+        with pytest.raises(InvalidMatrix, match="matrix: expected 4 entries, got 3"):
+            replay_failure({"label": "jensen_upper", "slack": None, "inputs": cdj})
 
     def test_third_term_statistics_recorded(self):
         report = run_campaign(TrialSpec(seed=9, trials=10))

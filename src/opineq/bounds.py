@@ -213,8 +213,16 @@ class CdjContext:
     def beta(self) -> float:
         return self.bounds.beta
 
+    @cached_property
+    def _big_k(self) -> float:
+        """``K_constant`` of this context's function on [m, M], computed on first use."""
+        return K_constant(self.fn, self.m, self.M)
+
     def with_function(self, fn: ScalarFunction) -> "CdjContext":
-        """This instance with ``fn``; equal to ``build_context`` with ``fn``, bit for bit."""
+        """This instance with ``fn``; equal to ``build_context`` with ``fn``, bit for bit.
+
+        The function-dependent memo of K is not carried over: ``replace`` builds a new instance.
+        """
         return replace(
             self,
             fn=fn,
@@ -359,7 +367,7 @@ def ratio_sandwich(ctx: CdjContext):
         (1/K) {Phi(f(A)) + (alpha/2) corr_image} <= f(Phi(A))
                                                  <= K Phi(f(A)) - (alpha/2) corr_point
     """
-    lower, upper = _sandwich_terms(ctx, K_constant(ctx.fn, ctx.m, ctx.M), ctx.alpha / 2.0)
+    lower, upper = _sandwich_terms(ctx, ctx._big_k, ctx.alpha / 2.0)
     return (
         _claim("ratio_lower", lower, ctx.f_phi_A),
         _claim("ratio_upper", ctx.f_phi_A, upper),
@@ -419,8 +427,7 @@ def refined_sandwich_chain(ctx: CdjContext) -> ChainReport:
     """
     if ctx.alpha <= 0.0:
         raise NotStrictlyConvex(f"alpha = {ctx.alpha!r} is not positive")
-    big_k = K_constant(ctx.fn, ctx.m, ctx.M)
-    return _sandwich_chain(ctx, "refined_chain", "refined_chain_link", big_k, ctx.alpha / 2.0)
+    return _sandwich_chain(ctx, "refined_chain", "refined_chain_link", ctx._big_k, ctx.alpha / 2.0)
 
 
 def power_function_chain(

@@ -247,9 +247,9 @@ def parse_function_spec(spec: str) -> ScalarFunction:
 
 
 def _check_positive_interval(m: float, M: float) -> None:
-    """Raise ``BadParameter`` unless 0 < m < M, as sandwich and Kantorovich constants need."""
-    if not (0.0 < m < M):
-        raise BadParameter(f"need 0 < m < M, got m={m!r}, M={M!r}")
+    """Raise ``BadParameter`` unless 0 < m < M < inf, as sandwich and Kantorovich constants need."""
+    if not (0.0 < m < M < math.inf):
+        raise BadParameter(f"need 0 < m < M < inf, got m={m!r}, M={M!r}")
 
 
 def _check_interval(fn: ScalarFunction, m: float, M: float) -> None:

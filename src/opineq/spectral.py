@@ -18,9 +18,15 @@ Both kernels write each new row into the matching column, so they rely on
 their input being bitwise symmetric: entry (i, j) and entry (j, i) are the
 same float.  ``SymmetricMatrix.__init__`` guarantees this: it keeps
 bitwise-symmetric input as it is and averages any other input with its
-transpose.  Any other way of making a ``SymmetricMatrix`` (a trusted
-constructor that skips validation, say) must keep that property, or the
-eigenvalue and eigenvector bits change.
+transpose.  Every public way in (arrays, files, fixtures, reproducer
+records) goes through it, and so do the results of matrix products
+(``squared``, ``recombine``, congruences, map images), whose rounding can
+leave an asymmetry of any size relative to the result, so the 1e-8 check
+can fire there.  The elementwise operators ``+``, ``-``, unary ``-`` and
+scalar ``*`` skip that check through ``SymmetricMatrix._elementwise``: on
+bitwise-symmetric operands entries (i, j) and (j, i) are computed from the
+same bits, so the result is bitwise symmetric too, and only an overflow to
+inf is left to reject.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,9 +103,27 @@ class SymmetricMatrix:
             arr = mean
         arr.setflags(write=False)
         self._entries = arr
-        self._decomposition = None
-        self._roots = None
         self.clamp_warning = clamp_warning
+
+    # eigendecompose and matrix_sqrt_inv_sqrt fill the caches on first use;
+    # an _elementwise result keeps clamp_warning False
+    _decomposition = None
+    _roots = None
+    clamp_warning = False
+
+    @classmethod
+    def _elementwise(cls, arr: np.ndarray) -> "SymmetricMatrix":
+        """Wrap ``arr``, a fresh elementwise result of bitwise-symmetric entries.
+
+        Such a result is bitwise symmetric already, so only its finiteness is
+        checked (a sum or a scaling can overflow); ``arr`` is kept, not copied.
+        """
+        if not np.isfinite(arr).all():
+            raise InvalidMatrix("matrix entries must be finite")
+        arr.setflags(write=False)
+        matrix = object.__new__(cls)
+        matrix._entries = arr
+        return matrix
 
     @classmethod
     def identity(cls, dim: int) -> "SymmetricMatrix":
@@ -116,7 +141,7 @@ class SymmetricMatrix:
     def dim(self) -> int:
         return self._entries.shape[0]
 
-    @property
+    @cached_property
     def norm_max(self) -> float:
         return float(np.abs(self._entries).max())
 
@@ -142,21 +167,21 @@ class SymmetricMatrix:
         if not isinstance(other, SymmetricMatrix):
             return NotImplemented
         self._check_dim(other)
-        return SymmetricMatrix(self._entries + other._entries)
+        return SymmetricMatrix._elementwise(self._entries + other._entries)
 
     def __sub__(self, other):
         if not isinstance(other, SymmetricMatrix):
             return NotImplemented
         self._check_dim(other)
-        return SymmetricMatrix(self._entries - other._entries)
+        return SymmetricMatrix._elementwise(self._entries - other._entries)
 
     def __neg__(self):
-        return SymmetricMatrix(-self._entries)
+        return SymmetricMatrix._elementwise(-self._entries)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        return SymmetricMatrix(self._entries * float(scalar))
+        return SymmetricMatrix._elementwise(self._entries * float(scalar))
 
     __rmul__ = __mul__
 
@@ -209,8 +234,11 @@ def _interval_or_hull(lo: float, hi: float, m, M) -> tuple[float, float]:
 
 
 def _check_hull(lo: float, hi: float, m: float, M: float, tol: float, error, what: str) -> None:
-    """Raise ``error`` unless the spectral hull [lo, hi] of ``what`` lies in [m - tol, M + tol]."""
-    if lo < m - tol or hi > M + tol:
+    """Raise ``error`` unless the spectral hull [lo, hi] of ``what`` lies in [m - tol, M + tol].
+
+    Written so that every comparison with a NaN end fails: a NaN m or M is rejected here.
+    """
+    if not (m - tol <= lo and hi <= M + tol):
         raise error(f"{what} [{lo:.6g}, {hi:.6g}] is not inside [{m:.6g}, {M:.6g}]")
 
 
@@ -222,10 +250,10 @@ def strict_positivity_tolerance(matrix: SymmetricMatrix) -> float:
 def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
     """Eigenvalues (ascending) and, if ``vectors``, eigenvector columns of ``a``.
 
-    ``a`` must be bitwise symmetric, as ``SymmetricMatrix`` entries are, and
-    any trusted constructor added later must keep them so.  Each rotation
-    computes the two new rows once and writes them into the matching
-    columns; that equals a row update followed by a column update only when
+    ``a`` must be bitwise symmetric, as the entries of every
+    ``SymmetricMatrix`` are, validated or elementwise (see the module
+    docstring).  Each rotation computes the two new rows once and writes
+    them into the matching columns; that equals a row update followed by a column update only when
     ``a[i, j]`` and ``a[j, i]`` are the same float.  The rotations run on
     Python float lists and numpy computes only the per-sweep stopping test.
     The input is prescaled by an exact power of two, so the sums of squares
@@ -246,8 +274,13 @@ def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
     threshold = _OFFDIAG_REL * float(np.linalg.norm(scaled))
     rows = scaled.tolist()
     qt = np.eye(n).tolist() if vectors else None  # row k holds column k of Q
+    strictly_upper = np.triu(np.ones((n, n)), 1)
     for _ in range(_SWEEP_CAP):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(np.array(rows), 1) ** 2)))
+        # np.sum(np.triu(a, 1) ** 2): the same n * n values, summed in the same order
+        squares = np.array(rows)
+        squares *= squares
+        squares *= strictly_upper
+        off = math.sqrt(2.0 * float(squares.sum()))
         if off <= threshold:
             break
         for p in range(n - 1):

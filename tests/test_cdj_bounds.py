@@ -71,6 +71,14 @@ class TestBuildContext:
                 catalog_lookup("power", [2]), m=1.5, M=3.0,
             )
 
+    @pytest.mark.parametrize("m, M", [(math.nan, None), (None, math.nan)])
+    def test_nan_interval_end_is_rejected(self, m, M):
+        with pytest.raises(SpectrumNotEnclosed):
+            build_context(
+                SymmetricMatrix.diagonal([1.0, 2.0]), identity_map(2),
+                catalog_lookup("power", [2]), m=m, M=M,
+            )
+
 
 class TestChordBounds:
     def test_affine_function_gives_equalities(self):
@@ -315,6 +323,15 @@ class TestPowerFunctionChain:
             for r in (-2.0, -1.0, 0.5, 2.0, 3.0):
                 chain = power_function_chain(matrix, phi, r, m, M)
                 assert chain.tightness >= -1e-8 * (1.0 + chain.scale), (r, i)
+
+
+@pytest.mark.parametrize("family", [
+    lambda a: power_function_chain(a, NormalizedTrace(2), 2.0, 1.0, math.inf),
+    lambda a: improved_kantorovich(a, NormalizedTrace(2), 1.0, math.inf),
+], ids=["power_chain", "kantorovich"])
+def test_infinite_upper_end_is_a_bad_parameter(family):
+    with pytest.raises(BadParameter, match="M < inf"):
+        family(SymmetricMatrix.diagonal([1.0, 2.0]))
 
 
 class TestImprovedKantorovich:

@@ -65,6 +65,15 @@ class TestOperatorPair:
                 SymmetricMatrix.identity(2), SymmetricMatrix.diagonal([1.0, 2.0]), m=1.5, M=3.0
             )
 
+    @pytest.mark.parametrize("m, M", [(math.nan, None), (None, math.nan)])
+    def test_nan_interval_end_is_rejected(self, m, M):
+        with pytest.raises(SandwichViolated):
+            OperatorPair(SymmetricMatrix.identity(2), SymmetricMatrix.diagonal([1.0, 2.0]), m=m, M=M)
+
+    def test_random_pair_needs_a_finite_interval(self):
+        with pytest.raises(BadParameter, match="M < inf"):
+            random_sandwich_pair(1, 2, 0.5, math.inf)
+
     def test_base_must_be_positive(self):
         with pytest.raises(NotPositiveDefinite):
             OperatorPair(SymmetricMatrix.diagonal([1.0, -1.0]), SymmetricMatrix.identity(2))
@@ -483,6 +492,11 @@ class TestTsallisTraceBounds:
         rho = density(0.4, 0.6)
         with pytest.raises(BadParameter):
             tsallis_trace_bounds(rho, rho, 0.5, m, M)
+
+    def test_infinite_upper_end_is_rejected(self):
+        # it used to give NaN bounds and a failed verdict
+        with pytest.raises(BadParameter, match="M < inf"):
+            tsallis_trace_bounds(density(0.4, 0.6), density(0.5, 0.5), 0.5, 0.5, math.inf)
 
     def test_random_states(self):
         for i in range(60):

@@ -250,6 +250,9 @@ class TestKantorovichPowerConstant:
             kantorovich_power_constant(-1.0, 2.0, 2.0)
         with pytest.raises(BadParameter):
             kantorovich_power_constant(2.0, 2.0, 2.0)
+        # an infinite M used to give NaN
+        with pytest.raises(BadParameter):
+            kantorovich_power_constant(1.0, math.inf, 2.0)
 
     def test_oracle_equivalence_convex_powers(self):
         rng = SplitMix64(derive_seed(901, 0))

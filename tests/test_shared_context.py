@@ -6,14 +6,16 @@ inequality; ``CdjContext.with_function`` swaps only the function-dependent
 terms.  So a trial solves Phi(A) once and each correction-PSD prerequisite
 once.  The trial's comparisons are judged in one batch, which solves each
 distinct gap once, and the Tsallis trace bounds reuse the trial's density
-pair.
+pair.  The ratio sandwich and the refined chain read one K per context, and
+only the results of matrix products pay for the full ``SymmetricMatrix``
+validation.
 """
 
 import collections
 
 import pytest
 
-from opineq import spectral
+from opineq import bounds, spectral
 from opineq.bounds import build_context
 from opineq.functions import catalog_lookup
 from opineq.maps import corner_map
@@ -42,6 +44,29 @@ def test_trial_solves_each_input_once(function, max_solves, monkeypatch):
     repeats = sum(inputs.values()) - len(inputs)
     assert repeats == 0
     assert sum(inputs.values()) <= max_solves
+
+
+def test_trial_computes_K_once_and_validates_only_product_results(monkeypatch):
+    calls = collections.Counter()
+    validate = spectral.SymmetricMatrix.__init__
+    big_k = bounds.K_constant
+
+    def counting_init(self, *args, **kwargs):
+        calls["validated"] += 1
+        validate(self, *args, **kwargs)
+
+    def counting_k(*args):
+        calls["K"] += 1
+        return big_k(*args)
+
+    monkeypatch.setattr(spectral.SymmetricMatrix, "__init__", counting_init)
+    monkeypatch.setattr(bounds, "K_constant", counting_k)
+    run_campaign(TrialSpec(seed=100, dim_range=(6, 6), trials=1,
+                           function_set=("power:3",), map_set=("corner",)))
+    # ratio_sandwich and refined_sandwich_chain share the context's K
+    assert calls["K"] == 1
+    # 64 measured; sums, differences and scalings (199 more) skip validation
+    assert calls["validated"] <= 64
 
 
 def _bits(matrix):

@@ -99,6 +99,66 @@ class TestSymmetricMatrix:
         assert np.signbit(mixed).sum() == 0
 
 
+# finite floats plus signed zeros, subnormals and entries near the largest float
+_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, 8.99e307]),
+)
+
+
+def _mirrored(raw):
+    """``raw``'s upper triangle copied bit for bit into the lower one."""
+    return np.where(np.triu(np.ones(raw.shape, dtype=bool)), raw, raw.T)
+
+
+def _outcome(build):
+    try:
+        with np.errstate(over="ignore"):
+            return build().entries.tobytes()
+    except InvalidMatrix:
+        return "InvalidMatrix"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(lambda n: arrays(np.float64, (2, n, n), elements=_ENTRY)),
+    _ENTRY,
+)
+def test_elementwise_results_equal_the_validating_constructor(raw, c):
+    a_arr, b_arr = _mirrored(raw[0]), _mirrored(raw[1])
+    a, b = SymmetricMatrix(a_arr), SymmetricMatrix(b_arr)
+    cases = [
+        (lambda: a + b, lambda: SymmetricMatrix(a_arr + b_arr)),
+        (lambda: a - b, lambda: SymmetricMatrix(a_arr - b_arr)),
+        (lambda: -a, lambda: SymmetricMatrix(-a_arr)),
+        (lambda: c * a, lambda: SymmetricMatrix(a_arr * c)),
+    ]
+    for fast, validated in cases:
+        got = _outcome(fast)
+        assert got == _outcome(validated)
+        if got != "InvalidMatrix":
+            bits = np.frombuffer(got, dtype=np.uint64).reshape(a_arr.shape)
+            assert (bits == bits.T).all()
+
+
+def test_overflowing_elementwise_results_are_rejected():
+    big = SymmetricMatrix([[1.7e308, 1.0], [1.0, 1.0]])
+    with np.errstate(over="ignore"):
+        for build in (lambda: big + big, lambda: big - (-big), lambda: 2.0 * big):
+            with pytest.raises(InvalidMatrix, match="finite"):
+                build()
+
+
+def test_public_constructor_still_validates_arrays():
+    with pytest.raises(InvalidMatrix, match="asymmetry"):
+        SymmetricMatrix(np.array([[1.0, 2.0], [1.0, 3.0]]))
+    # a caller's array is copied, so changing it later changes nothing
+    entries = np.array([[1.0, 2.0], [2.0, 3.0]])
+    matrix = SymmetricMatrix(entries)
+    entries[0, 1] = 5.0
+    assert matrix.entries[0, 1] == 2.0
+
+
 @pytest.mark.parametrize("parse", [_matrix_from_payload, _vector_from_payload])
 def test_payload_of_wrong_length_is_rejected(parse):
     # a 2x2 matrix needs 4 entries and a 2-vector 2, so 3 fit neither

@@ -253,8 +253,9 @@ def _check_positive_interval(m: float, M: float) -> None:
 
 
 def _check_interval(fn: ScalarFunction, m: float, M: float) -> None:
+    """Raise ``BadParameter`` unless m < M, then ``DomainViolation`` unless [m, M] is inside fn's domain."""
     if not m < M:
-        raise DomainViolation(f"need m < M, got m={m!r}, M={M!r}")
+        raise BadParameter(f"need m < M, got m={m!r}, M={M!r}")
     lo, hi = fn.domain
     if not (lo < m and M < hi):
         raise DomainViolation(f"[{m}, {M}] is not inside the domain {fn.domain} of {fn.name}")

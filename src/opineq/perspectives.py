@@ -75,7 +75,8 @@ class OperatorPair:
     """Strictly positive A paired with B under the sandwich m*A <= B <= M*A.
 
     m and M default to the exact spectral hull of A^{-1/2} B A^{-1/2}; user
-    supplied values may widen the interval but must still enclose it.
+    supplied values may widen the interval but must still enclose it and be
+    finite (m <= 0 is allowed).
     """
 
     def __init__(self, first: SymmetricMatrix, second: SymmetricMatrix, m=None, M=None):
@@ -94,6 +95,9 @@ class OperatorPair:
         m, M = _interval_or_hull(lo, hi, m, M)
         tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
         _check_hull(lo, hi, m, M, tol, SandwichViolated, "sandwiched spectrum")
+        # past the hull check only m = -inf or M = inf is left to reject
+        if math.isinf(m) or math.isinf(M):
+            raise BadParameter(f"need finite m and M, got m={m!r}, M={M!r}")
         if m == M:
             raise DegenerateInterval("m == M in the sandwich condition")
         if m > M:

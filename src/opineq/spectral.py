@@ -6,13 +6,18 @@ fixed row-major sweep order, so its output is a pure function of the input
 across runs and platforms; the seeded fuzz harness relies on that.
 
 There are two kernels.  ``_cyclic_jacobi``, the list kernel, solves one
-matrix on rows of Python floats, with or without eigenvectors.
-``_jacobi_eigenvalues_batch`` solves a stack of same-size matrices for their
-eigenvalues only, one numpy step per rotation for the whole stack, and gives
-each matrix the list kernel's bits.  ``_eigenvalues_many`` picks between
-them by the number of distinct same-size matrices, and every eigenvalues-only
-solve goes through it: each Loewner comparison, alone or judged together with
-others (a campaign trial's, say).
+matrix on rows of Python floats, with or without eigenvectors; with them,
+each row carries the matching row of Q^T, rotated in the same step.
+``_jacobi_batch`` solves a stack of same-size matrices, with or without
+eigenvectors, one numpy step per rotation for the whole stack, and gives
+each matrix the list kernel's bits: eigenvalues and, with eigenvectors,
+Q^T rows rotated by each matrix's own (c, s), the same zero-pivot skips and
+the same stable ordering.  ``_solve_many`` picks between them by the number
+of distinct same-size matrices.  Every eigenvalues-only solve goes through
+it (``_eigenvalues_many``): each Loewner comparison, alone or judged
+together with others (a campaign chunk's, say).  ``_decompose_many`` fills
+the decomposition caches of many matrices through it (a campaign chunk's
+drawn inputs); ``eigendecompose`` solves one matrix with the list kernel.
 
 Both kernels write each new row into the matching column, so they rely on
 their input being bitwise symmetric: entry (i, j) and entry (j, i) are the
@@ -256,6 +261,10 @@ def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
     them into the matching columns; that equals a row update followed by a column update only when
     ``a[i, j]`` and ``a[j, i]`` are the same float.  The rotations run on
     Python float lists and numpy computes only the per-sweep stopping test.
+    With ``vectors``, row k carries row k of Q^T after its n matrix entries,
+    so one list comprehension of length 2n rotates both with the same
+    formulas; the column write-back and the stopping test read only the
+    first n entries.
     The input is prescaled by an exact power of two, so the sums of squares
     in that test neither overflow nor underflow; scaling by a power of two is
     exact, so away from subnormal numbers every bit matches an unscaled run.
@@ -273,11 +282,14 @@ def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
     scaled = a * scale
     threshold = _OFFDIAG_REL * float(np.linalg.norm(scaled))
     rows = scaled.tolist()
-    qt = np.eye(n).tolist() if vectors else None  # row k holds column k of Q
+    if vectors:  # row k goes on with row k of Q^T, the identity to start with
+        for k, row in enumerate(rows):
+            row.extend([0.0] * n)
+            row[n + k] = 1.0
     strictly_upper = np.triu(np.ones((n, n)), 1)
     for _ in range(_SWEEP_CAP):
         # np.sum(np.triu(a, 1) ** 2): the same n * n values, summed in the same order
-        squares = np.array(rows)
+        squares = np.array([row[:n] for row in rows] if vectors else rows)
         squares *= squares
         squares *= strictly_upper
         off = math.sqrt(2.0 * float(squares.sum()))
@@ -309,14 +321,9 @@ def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
                 new_r[p] = 0.0
                 rows[p] = new_p
                 rows[r] = new_r
-                for row_k, u, v in zip(rows, new_p, new_r):
+                for row_k, u, v in zip(rows, new_p, new_r):  # the n matrix rows only
                     row_k[p] = u
                     row_k[r] = v
-                if vectors:
-                    q_p = qt[p]
-                    q_r = qt[r]
-                    qt[p] = [c * u - s * v for u, v in zip(q_p, q_r)]
-                    qt[r] = [s * u + c * v for u, v in zip(q_p, q_r)]
     else:
         raise ConvergenceError("Jacobi sweep cap reached without convergence")
     lam = np.array([rows[k][k] for k in range(n)])
@@ -324,35 +331,44 @@ def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
     lam = lam[order] / scale
     if not vectors:
         return lam, None
-    return lam, np.array(qt)[order].T
+    return lam, np.array([row[n:] for row in rows])[order].T
 
 
-def _jacobi_eigenvalues_batch(stack: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of a ``(k, n, n)`` stack, as ``(k, n)``.
+def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
+    """Eigenvalues (ascending, ``(k, n)``) and, if ``vectors``, eigenvector
+    columns (``(k, n, n)``, else ``None``) of each matrix of a ``(k, n, n)`` stack.
 
-    Row i holds the bits of ``_cyclic_jacobi(stack[i], vectors=False)``: the
+    Entry i holds the bits of ``_cyclic_jacobi(stack[i], vectors)``: the
     same power-of-two prescale and threshold, the same row-major pair order
-    and rotation formulas (the first-order tangent included) and the same
-    per-sweep stopping test, with numpy running each step on every matrix at
-    once.  Each matrix has its own rotation (c, s), skips its own zero
-    pivots and leaves the batch when its own stopping test passes, so its
-    bits never depend on the other matrices.  Every matrix must be bitwise
-    symmetric, as for ``_cyclic_jacobi``.  ``stack`` is not modified.
+    and rotation formulas (the first-order tangent included), the same
+    per-sweep stopping test and the same stable ordering, with numpy running
+    each step on every matrix at once.  Each matrix has its own rotation
+    (c, s), skips its own zero pivots and leaves the batch when its own
+    stopping test passes, so its bits never depend on the other matrices.
+    With ``vectors``, each row of the work stack carries the matching row of
+    Q^T, rotated by the same (c, s), as in ``_cyclic_jacobi``.  Every matrix
+    must be bitwise symmetric, as for ``_cyclic_jacobi``.  ``stack`` is not
+    modified.
     """
     k, n, _ = stack.shape
     if n == 1:
-        return stack[:, 0, :].copy()
+        return stack[:, 0, :].copy(), (np.ones((k, 1, 1)) if vectors else None)
     # as in _cyclic_jacobi; np.frexp and np.ldexp give math.frexp's and math.ldexp's bits
     scale = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(stack).max(axis=(1, 2)))[1], 1023))
     # np.linalg.norm sums in its own order, so it runs on each scaled matrix alone
     threshold = np.array([_OFFDIAG_REL * float(np.linalg.norm(a * s)) for a, s in zip(stack, scale)])
-    # work[i, j] holds entry (i, j) of every live matrix, so a row is an (n, live) block
-    work = stack.transpose(1, 2, 0).copy()
-    work *= scale
+    # work[i, j] holds entry (i, j) of every live matrix, so a row is an (n, live)
+    # block; with vectors, row i continues with row i of each matrix's Q^T
+    work = np.empty((n, 2 * n if vectors else n, k))
+    work[:, :n] = stack.transpose(1, 2, 0)
+    work[:, :n] *= scale
+    if vectors:
+        work[:, n:] = np.eye(n)[:, :, None]
     live = np.arange(k)  # the input index of each live matrix
     diagonal = np.arange(n)
     strictly_upper = np.triu(np.ones((n, n)), 1)
-    out = np.empty((k, n))
+    values = np.empty((k, n))
+    qt = np.empty((k, n, n)) if vectors else None  # Q^T of each matrix, rows in eigenvalue order
     pairs = [(p, r) for p in range(n - 1) for r in range(p + 1, n)]
     # every matrix computes both branches of the tangent: the one it discards
     # may divide by a zero pivot or overflow, and those warnings mean nothing
@@ -360,17 +376,25 @@ def _jacobi_eigenvalues_batch(stack: np.ndarray) -> np.ndarray:
         for _ in range(_SWEEP_CAP):
             # np.sum(np.triu(a, 1) ** 2) of each matrix: the same n * n values
             # (a square times 1.0 or 0.0), summed in the same order
-            squares = work.transpose(2, 0, 1).copy()
+            squares = work[:, :n].transpose(2, 0, 1).copy()
             np.multiply(squares, squares, out=squares)
             squares *= strictly_upper
             off = np.sqrt(2.0 * squares.reshape(live.size, n * n).sum(axis=1))
             done = off <= threshold
             if done.any():
-                lam = np.sort(work[diagonal, diagonal][:, done].T, axis=1, kind="stable")
-                out[live[done]] = lam / scale[live[done]][:, None]
+                finished = live[done]
+                diag = work[diagonal, diagonal][:, done].T
+                if vectors:
+                    order = np.argsort(diag, axis=1, kind="stable")
+                    each = np.arange(finished.size)[:, None]
+                    diag = diag[each, order]
+                    qt[finished] = work[:, n:][:, :, done].transpose(2, 0, 1)[each, order]
+                else:
+                    diag = np.sort(diag, axis=1, kind="stable")  # the values a stable argsort orders
+                values[finished] = diag / scale[finished][:, None]
                 keep = ~done
                 if not keep.any():
-                    return out
+                    return values, (qt.transpose(0, 2, 1) if vectors else None)
                 live = live[keep]
                 threshold = threshold[keep]
                 work = np.ascontiguousarray(work[:, :, keep])
@@ -401,16 +425,18 @@ def _jacobi_eigenvalues_batch(stack: np.ndarray) -> np.ndarray:
                     new_r = np.where(skip, row_r, new_r)
                 work[p] = new_p
                 work[r] = new_r
-                work[:, p] = new_p
-                work[:, r] = new_r
+                work[:, p] = new_p[:n]
+                work[:, r] = new_r[:n]
     raise ConvergenceError("Jacobi sweep cap reached without convergence")
 
 
-# Groups of at least this many distinct same-size eigenvalues-only solves go
-# to the batched kernel, smaller ones one at a time to the list kernel.  Both
-# give the same bits; this is where the batch starts to pay off (measured on
-# stacks of campaign gap matrices, see CHANGES.md).
+# Groups of at least this many distinct same-size solves go to the batched
+# kernel, smaller ones one at a time to the list kernel: _BATCH_MIN for
+# eigenvalues only, _BATCH_MIN_VECTORS with eigenvectors.  Both kernels give
+# the same bits; these are where the batch starts to pay off (measured on
+# stacks of campaign matrices, see CHANGES.md).
 _BATCH_MIN = 12
+_BATCH_MIN_VECTORS = 8
 
 
 def _distinct(arrays):
@@ -427,28 +453,51 @@ def _distinct(arrays):
     return distinct, slots
 
 
-def _eigenvalues_many(arrays) -> list:
-    """Ascending eigenvalues of each bitwise-symmetric array, without eigenvectors.
+def _solve_many(arrays, vectors: bool) -> list:
+    """``_cyclic_jacobi(a, vectors)`` of each bitwise-symmetric array ``a``, bit for bit.
 
     Arrays with the same bytes are solved once.  The distinct arrays of one
-    size are solved by ``_jacobi_eigenvalues_batch`` when there are at least
-    ``_BATCH_MIN`` of them and by ``_cyclic_jacobi`` one at a time otherwise,
-    which gives the same bits.
+    size are solved together by ``_jacobi_batch`` when there are at least
+    ``_BATCH_MIN`` of them (``_BATCH_MIN_VECTORS`` with eigenvectors) and by
+    ``_cyclic_jacobi`` one at a time otherwise.
     """
     distinct, slots = _distinct(arrays)
     by_size: dict = {}
     for i, a in enumerate(distinct):
         by_size.setdefault(a.shape[0], []).append(i)
-    values = [None] * len(distinct)
+    least = _BATCH_MIN_VECTORS if vectors else _BATCH_MIN
+    solved = [None] * len(distinct)
     for members in by_size.values():
-        if len(members) >= _BATCH_MIN:
-            batch = _jacobi_eigenvalues_batch(np.stack([distinct[i] for i in members]))
-            for i, lam in zip(members, batch):
-                values[i] = lam
+        if len(members) >= least:
+            values, q = _jacobi_batch(np.stack([distinct[i] for i in members]), vectors)
+            for j, i in enumerate(members):
+                # arrays of its own for each matrix, Q laid out as _cyclic_jacobi lays it out
+                solved[i] = (values[j].copy(), q[j].T.copy().T if vectors else None)
         else:
             for i in members:
-                values[i] = _cyclic_jacobi(distinct[i], vectors=False)[0]
-    return [values[i] for i in slots]
+                solved[i] = _cyclic_jacobi(distinct[i], vectors)
+    return [solved[i] for i in slots]
+
+
+def _eigenvalues_many(arrays) -> list:
+    """Ascending eigenvalues of each bitwise-symmetric array, without eigenvectors."""
+    return [lam for lam, _ in _solve_many(arrays, vectors=False)]
+
+
+def _decompose_many(matrices) -> None:
+    """Fill the decomposition cache of each matrix in one ``_solve_many`` call.
+
+    Each cache gets the bits that ``eigendecompose`` would give it alone.
+    """
+    todo = [matrix for matrix in matrices if matrix._decomposition is None]
+    for matrix, solved in zip(todo, _solve_many([m.entries for m in todo], vectors=True)):
+        _store_decomposition(matrix, *solved)
+
+
+def _store_decomposition(matrix: SymmetricMatrix, lam: np.ndarray, q: np.ndarray) -> None:
+    lam.setflags(write=False)
+    q.setflags(write=False)
+    matrix._decomposition = SpectralDecomposition(lam, q)
 
 
 def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
@@ -460,10 +509,7 @@ def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
     from subnormal up to 1e308 are handled.  Deterministic for a fixed input.
     """
     if matrix._decomposition is None:
-        lam, q = _cyclic_jacobi(matrix.entries)
-        lam.setflags(write=False)
-        q.setflags(write=False)
-        matrix._decomposition = SpectralDecomposition(lam, q)
+        _store_decomposition(matrix, *_cyclic_jacobi(matrix.entries))
     return matrix._decomposition
 
 

@@ -5,16 +5,22 @@ index), draws one operator instance plus one sandwich pair and two density
 operators, and evaluates every registered comparison whose preconditions
 hold.  Slack is the signed minimum eigenvalue of RHS - LHS; slack below
 -tolerance*(1+scale) counts as a failure and is stored with a full
-reproducer record.  Trials are independent, so they could run in parallel
-as long as the per-trial seeds come from ``derive_seed``; this
-implementation runs them serially, which already makes reports
-byte-for-byte reproducible.
+reproducer record.
+
+Trials are independent, and a trial's bits depend only on its own seed, so
+the campaign runs them in chunks, in four phases per chunk: draw every
+trial's seeds and input matrices; decompose the drawn A, sandwich base, rho
+and sigma of all of them in one dispatch (same-size groups big enough go to
+the batched eigenvector kernel); evaluate every family of every trial; and
+judge all the chunk's pending comparisons, with the two statistics'
+matrices, in one ``bounds._judge`` call.  Every solve gives the bits it
+would give alone, so reports are byte-for-byte the same for any chunking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +39,7 @@ from .bounds import (
 )
 from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex
 from .functions import _check_positive_interval, catalog_lookup, parse_function_spec
-from .maps import map_from_info
+from .maps import PositiveUnitalMap, map_from_info
 from .perspectives import (
     DensityOperator,
     OperatorPair,
@@ -47,7 +53,13 @@ from .perspectives import (
     von_neumann_lower_bound,
 )
 from .rng import SplitMix64, derive_seed
-from .spectral import SymmetricMatrix, _checked_tolerance, _matrix_from_payload, matrix_sqrt_inv_sqrt
+from .spectral import (
+    SymmetricMatrix,
+    _checked_tolerance,
+    _decompose_many,
+    _matrix_from_payload,
+    matrix_sqrt_inv_sqrt,
+)
 
 __all__ = [
     "TrialSpec",
@@ -78,6 +90,11 @@ DENSITY_EIGENVALUE_FLOOR = 1e-3
 # dims 2..10000 would run for hours, so it is rejected before the first trial.
 MAX_DIM = 32
 MAX_TRIALS = 10_000
+# A campaign chunk holds trials whose dimensions squared sum to at most this
+# (a trial above it is a chunk of its own).  Chunk trials keep their operators
+# until the chunk is judged, about 1.4 MB per dim-32 trial, so this bounds the
+# memory: 12 trials of dim 4 fit in one chunk, and 2 of dim 32.
+_CHUNK_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -121,7 +138,7 @@ class Family:
 
     ``evaluate(*prepared, **params)`` returns the family's reports, one per
     label, from the prepared inputs of its reproducer ``kind`` (see
-    ``_run_trial`` and ``_prepare``).  ``params`` are fixed values of this
+    ``_evaluate_trial`` and ``_prepare``).  ``params`` are fixed values of this
     entry that its reproducer records carry too.  ``skips`` are the
     exceptions that mean the instance fails the family's preconditions.
     """
@@ -270,6 +287,11 @@ def random_symmetric_with_spectrum(seed: int, dim: int, m: float, M: float) -> S
 
 def random_density(seed: int, dim: int) -> DensityOperator:
     """Random density operator with eigenvalues floored at 1e-3."""
+    return DensityOperator(_draw_density(seed, dim))
+
+
+def _draw_density(seed: int, dim: int) -> SymmetricMatrix:
+    """The matrix of ``random_density(seed, dim)``, not yet decomposed."""
     if dim < 2:
         raise BadParameter("dimension must be at least 2")
     rng = SplitMix64(seed)
@@ -278,7 +300,7 @@ def random_density(seed: int, dim: int) -> DensityOperator:
     floor = DENSITY_EIGENVALUE_FLOOR
     lam = floor + (1.0 - dim * floor) * weights
     q = random_orthogonal(rng, dim)
-    return DensityOperator(SymmetricMatrix((q * lam) @ q.T))
+    return SymmetricMatrix((q * lam) @ q.T)
 
 
 def random_sandwich_pair(seed: int, dim: int, m: float, M: float) -> OperatorPair:
@@ -287,9 +309,19 @@ def random_sandwich_pair(seed: int, dim: int, m: float, M: float) -> OperatorPai
     The returned pair carries the exact spectral hull of the sandwiched
     matrix, which is contained in the requested [m, M] by construction.
     """
+    return _sandwich_pair(*_draw_sandwich(seed, dim, m, M))
+
+
+def _draw_sandwich(seed: int, dim: int, m: float, M: float) -> tuple[SymmetricMatrix, SymmetricMatrix]:
+    """(A, C) of ``random_sandwich_pair(seed, dim, m, M)``, neither decomposed yet."""
     _check_positive_interval(m, M)
     base = random_symmetric_with_spectrum(derive_seed(seed, 1), dim, 0.5, 2.0)
     inner = random_symmetric_with_spectrum(derive_seed(seed, 2), dim, m, M)
+    return base, inner
+
+
+def _sandwich_pair(base: SymmetricMatrix, inner: SymmetricMatrix) -> OperatorPair:
+    """The pair (A, A^{1/2} C A^{1/2}) from A = ``base`` and C = ``inner``."""
     root, _ = matrix_sqrt_inv_sqrt(base)
     second = SymmetricMatrix(root.entries @ inner.entries @ root.entries)
     return OperatorPair(base, second)
@@ -387,7 +419,27 @@ class CampaignReport:
                 writer.writerow([label, trial, dim, format(slack, ".17g"), str(passed).lower()])
 
 
-def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
+class _Draw(NamedTuple):
+    """One trial's seeded draws, with nothing solved yet."""
+
+    index: int
+    seed: int
+    dim: int
+    fn_spec: str
+    m: float
+    M: float
+    matrix: SymmetricMatrix
+    phi: PositiveUnitalMap
+    map_info: dict
+    base: SymmetricMatrix  # the sandwich pair's A
+    inner: SymmetricMatrix  # C, with B = A^{1/2} C A^{1/2}
+    p: float
+    rho: SymmetricMatrix
+    sigma: SymmetricMatrix
+
+
+def _draw_trial(spec: TrialSpec, index: int) -> _Draw:
+    """Trial ``index``'s draws from its own stream, in the order that fixes the report bytes."""
     trial_seed = derive_seed(spec.seed, index)
     rng = SplitMix64(trial_seed)
     lo, hi = spec.dim_range
@@ -396,31 +448,38 @@ def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
     map_tag = spec.map_set[rng.below(len(spec.map_set))]
     m = 0.3 + 1.2 * rng.uniform()
     M = m + 0.5 + 2.5 * rng.uniform()
-    matrix_seed = rng.next_u64()
-    matrix = random_symmetric_with_spectrum(matrix_seed, dim, m, M)
+    matrix = random_symmetric_with_spectrum(rng.next_u64(), dim, m, M)
     phi, map_info = _make_map(map_tag, dim, rng)
     pair_m = 0.3 + 0.9 * rng.uniform()
     pair_M = pair_m + 0.4 + 1.6 * rng.uniform()
-    pair_seed = rng.next_u64()
+    base, inner = _draw_sandwich(rng.next_u64(), dim, pair_m, pair_M)
     p = TSALLIS_PS[rng.below(len(TSALLIS_PS))]
-    rho_seed = rng.next_u64()
-    sigma_seed = rng.next_u64()
+    rho = _draw_density(rng.next_u64(), dim)
+    sigma = _draw_density(rng.next_u64(), dim)
+    return _Draw(index, trial_seed, dim, fn_spec, m, M, matrix, phi, map_info, base, inner, p, rho, sigma)
 
-    fn = parse_function_spec(fn_spec)
-    pair = random_sandwich_pair(pair_seed, dim, pair_m, pair_M)
-    rho = random_density(rho_seed, dim)
-    sigma = random_density(sigma_seed, dim)
+
+def _evaluate_trial(draw: _Draw) -> tuple[list, tuple]:
+    """(every evaluated family's reports with its reproducer record, the two statistics' matrices).
+
+    The reports are left unjudged; ``run_campaign`` judges a chunk's at once.
+    """
+    dim, phi, p = draw.dim, draw.phi, draw.p
+    fn = parse_function_spec(draw.fn_spec)
+    pair = _sandwich_pair(draw.base, draw.inner)
+    rho = DensityOperator(draw.rho)
+    sigma = DensityOperator(draw.sigma)
     relative_pair = OperatorPair(rho.rho, sigma.rho)
     p_pos = abs(p)
 
     cdj_inputs = {
         "kind": "cdj",
-        "matrix": _matrix_data(matrix),
+        "matrix": _matrix_data(draw.matrix),
         "dim": dim,
-        "map": map_info,
-        "function": fn_spec,
-        "m": m,
-        "M": M,
+        "map": draw.map_info,
+        "function": draw.fn_spec,
+        "m": draw.m,
+        "M": draw.M,
     }
     records = {
         "cdj": cdj_inputs,
@@ -431,8 +490,8 @@ def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
             "A": _matrix_data(pair.A),
             "B": _matrix_data(pair.B),
             "dim": dim,
-            "map": map_info,
-            "function": fn_spec,
+            "map": draw.map_info,
+            "function": draw.fn_spec,
             "p": p,
         },
         "trace_bounds": {
@@ -446,7 +505,7 @@ def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
         },
         "floor": {"kind": "floor", "rho": _matrix_data(rho.rho), "dim": dim, "p": p_pos},
     }
-    ctx = build_context(matrix, phi, fn, m, M)
+    ctx = build_context(draw.matrix, phi, fn, draw.m, draw.M)
     # prepared whole: the strict-improvement statistic below reads it too
     kant = _kantorovich(ctx)
     prepared = {
@@ -465,22 +524,21 @@ def _run_trial(spec: TrialSpec, index: int, stats: dict) -> _Collector:
         except family.skips:
             continue
         evaluated.append((reports, dict(records[family.kind], **family.params)))
-    # one batched solve judges every comparison and the two statistics' spectra
-    third, improvement = _judge(
-        [report for reports, _ in evaluated for report in reports],
-        jensen_third_term(ctx),
-        kant.classical_rhs - kant.improved_rhs,
-    )
-    out = _Collector(spec.tolerance, index, trial_seed, dim)
-    for reports, inputs in evaluated:
-        for report in reports:
-            out.add(report, inputs)
+    return evaluated, (jensen_third_term(ctx), kant.classical_rhs - kant.improved_rhs)
 
-    stats["third_term_min"] = min(stats["third_term_min"], float(third[0]))
-    stats["third_term_max"] = max(stats["third_term_max"], float(third[-1]))
-    if float(improvement[0]) > 1e-12:
-        stats["kantorovich_strict_improvements"] += 1
-    return out
+
+def _chunks(spec: TrialSpec):
+    """The campaign's trial draws, in order, in chunks within ``_CHUNK_BUDGET``."""
+    chunk: list = []
+    size = 0
+    for index in range(spec.trials):
+        draw = _draw_trial(spec, index)
+        if chunk and size + draw.dim**2 > _CHUNK_BUDGET:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(draw)
+        size += draw.dim**2
+    yield chunk
 
 
 def run_campaign(spec: TrialSpec) -> CampaignReport:
@@ -493,10 +551,27 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         "third_term_max": float("-inf"),
         "kantorovich_strict_improvements": 0,
     }
-    for index in range(spec.trials):
-        collector = _run_trial(spec, index, stats)
-        rows.extend(collector.rows)
-        failures.extend(collector.failures)
+    for chunk in _chunks(spec):
+        # the drawn matrices other solves start from: one dispatch fills their caches
+        _decompose_many([m for draw in chunk for m in (draw.matrix, draw.base, draw.rho, draw.sigma)])
+        trials = [_evaluate_trial(draw) for draw in chunk]
+        # one batched solve judges every comparison and the statistics' spectra
+        spectra = iter(_judge(
+            [report for evaluated, _ in trials for reports, _ in evaluated for report in reports],
+            *[matrix for _, statistics in trials for matrix in statistics],
+        ))
+        for draw, (evaluated, _) in zip(chunk, trials):
+            out = _Collector(spec.tolerance, draw.index, draw.seed, draw.dim)
+            for reports, inputs in evaluated:
+                for report in reports:
+                    out.add(report, inputs)
+            rows.extend(out.rows)
+            failures.extend(out.failures)
+            third, improvement = next(spectra), next(spectra)
+            stats["third_term_min"] = min(stats["third_term_min"], float(third[0]))
+            stats["third_term_max"] = max(stats["third_term_max"], float(third[-1]))
+            if float(improvement[0]) > 1e-12:
+                stats["kantorovich_strict_improvements"] += 1
 
     aggregates: dict = {}
     for label, _trial, _dim, slack, passed in rows:

@@ -1,10 +1,10 @@
-"""The batched eigenvalues-only Jacobi gives the list kernel's bits, and
-deferred Loewner verdicts equal eager ones.
+"""The batched Jacobi gives the list kernel's bits, with and without
+eigenvectors, and deferred Loewner verdicts equal eager ones.
 
-``_jacobi_eigenvalues_batch`` solves a stack of same-size matrices with one
-numpy step per rotation.  Each matrix keeps its own rotation, its own zero
-pivots and its own stopping test, so its eigenvalues must be the bytes of
-``_cyclic_jacobi(a, vectors=False)`` whatever else shares the stack.
+``_jacobi_batch`` solves a stack of same-size matrices with one numpy step
+per rotation.  Each matrix keeps its own rotation, its own zero pivots and
+its own stopping test, so its eigenvalues and eigenvectors must be the bytes
+of ``_cyclic_jacobi(a, vectors)`` whatever else shares the stack.
 """
 
 import collections
@@ -15,7 +15,15 @@ import pytest
 
 from opineq import LoewnerRelation, SymmetricMatrix, loewner_compare, spectral, with_tolerance
 from opineq.bounds import _claim, _judge
-from opineq.spectral import _BATCH_MIN, _cyclic_jacobi, _eigenvalues_many, _jacobi_eigenvalues_batch
+from opineq.spectral import (
+    _BATCH_MIN,
+    _BATCH_MIN_VECTORS,
+    _cyclic_jacobi,
+    _decompose_many,
+    _eigenvalues_many,
+    _jacobi_batch,
+    eigendecompose,
+)
 
 
 def _symmetric(upper: np.ndarray) -> np.ndarray:
@@ -62,21 +70,50 @@ def test_batch_equals_list_kernel_bytes(n, k):
     before = stack.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the discarded np.where branches must stay silent
-        values = _jacobi_eigenvalues_batch(stack)
+        values, vectors = _jacobi_batch(stack)
     assert values.shape == (k, n)
+    assert vectors is None
     for i in range(k):
         assert values[i].tobytes() == _list_bits(stack[i]), (n, k, i)
     assert stack.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+def test_batch_vectors_equal_list_kernel_bytes(n, k):
+    rng = np.random.default_rng([n, k, 1])
+    stack = np.stack([_mixed(rng, n, i % 9) for i in range(k)])
+    before = stack.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors = _jacobi_batch(stack, vectors=True)
+    assert values.shape == (k, n)
+    assert vectors.shape == (k, n, n)
+    for i in range(k):
+        lam, q = _cyclic_jacobi(np.ascontiguousarray(stack[i]))
+        assert values[i].tobytes() == lam.tobytes(), (n, k, i)
+        assert vectors[i].tobytes() == q.tobytes(), (n, k, i)
+    assert stack.tobytes() == before.tobytes()
+
+
+def test_list_kernel_eigenvalues_do_not_depend_on_vectors():
+    rng = np.random.default_rng(2)
+    for i in range(27):
+        a = _mixed(rng, 2 + i % 7, i % 9)
+        assert _cyclic_jacobi(a)[0].tobytes() == _list_bits(a), i
+
+
 def test_bits_do_not_depend_on_the_batch():
     rng = np.random.default_rng(3)
     stack = np.stack([_mixed(rng, 6, i % 9) for i in range(18)])
-    alone = [_jacobi_eigenvalues_batch(stack[i:i + 1])[0].tobytes() for i in range(18)]
-    together = _jacobi_eigenvalues_batch(stack)
-    reordered = _jacobi_eigenvalues_batch(stack[::-1])[::-1]
-    assert [v.tobytes() for v in together] == alone
-    assert [v.tobytes() for v in reordered] == alone
+    for vectors in (False, True):
+        alone = [_jacobi_batch(stack[i:i + 1], vectors) for i in range(18)]
+        together = _jacobi_batch(stack, vectors)
+        reordered = _jacobi_batch(stack[::-1], vectors)
+        for i, (lam, q) in enumerate(alone):
+            assert together[0][i].tobytes() == reordered[0][17 - i].tobytes() == lam[0].tobytes()
+            if vectors:
+                assert together[1][i].tobytes() == reordered[1][17 - i].tobytes() == q[0].tobytes()
 
 
 def test_eigenvalues_many_dedupes_and_picks_the_kernel_by_group_size(monkeypatch):
@@ -85,23 +122,59 @@ def test_eigenvalues_many_dedupes_and_picks_the_kernel_by_group_size(monkeypatch
     small = [_mixed(rng, 3, 0) for _ in range(_BATCH_MIN - 1)]
     calls = collections.Counter()
     one_by_one = spectral._cyclic_jacobi
-    batched = spectral._jacobi_eigenvalues_batch
+    batched = spectral._jacobi_batch
 
     def counting(a, vectors=True):
         calls["list", a.shape[0]] += 1
         return one_by_one(a, vectors)
 
-    def counting_batch(stack):
+    def counting_batch(stack, vectors=False):
         calls["batch", stack.shape[1]] += len(stack)
-        return batched(stack)
+        return batched(stack, vectors)
 
     monkeypatch.setattr(spectral, "_cyclic_jacobi", counting)
-    monkeypatch.setattr(spectral, "_jacobi_eigenvalues_batch", counting_batch)
+    monkeypatch.setattr(spectral, "_jacobi_batch", counting_batch)
     arrays = big + small + [big[0].copy(), small[0].copy()]  # same bytes, other objects
     values = _eigenvalues_many(arrays)
     assert calls == {("batch", 4): _BATCH_MIN, ("list", 3): _BATCH_MIN - 1}
     for a, lam in zip(arrays, values):
         assert lam.tobytes() == _list_bits(a)
+
+
+def test_decompose_many_fills_the_caches_eigendecompose_would(monkeypatch):
+    rng = np.random.default_rng(6)
+    big = [SymmetricMatrix(_mixed(rng, 4, i % 9)) for i in range(_BATCH_MIN_VECTORS)]
+    small = [SymmetricMatrix(_mixed(rng, 3, i % 9)) for i in range(_BATCH_MIN_VECTORS - 1)]
+    solved = small[0]
+    eigendecompose(solved)
+    twin = SymmetricMatrix(big[0].entries)  # same bytes, another object
+    calls = collections.Counter()
+    one_by_one = spectral._cyclic_jacobi
+    batched = spectral._jacobi_batch
+
+    def counting(a, vectors=True):
+        calls["list", a.shape[0], vectors] += 1
+        return one_by_one(a, vectors)
+
+    def counting_batch(stack, vectors=False):
+        calls["batch", stack.shape[1], vectors] += len(stack)
+        return batched(stack, vectors)
+
+    monkeypatch.setattr(spectral, "_cyclic_jacobi", counting)
+    monkeypatch.setattr(spectral, "_jacobi_batch", counting_batch)
+    _decompose_many(big + small + [twin])
+    # the cached one is skipped, the twin is solved with its original
+    assert calls == {("batch", 4, True): _BATCH_MIN_VECTORS,
+                     ("list", 3, True): _BATCH_MIN_VECTORS - 2}
+    monkeypatch.setattr(spectral, "_cyclic_jacobi", one_by_one)
+    for matrix in big + small + [twin]:
+        fresh = eigendecompose(SymmetricMatrix(matrix.entries))
+        dec = matrix._decomposition
+        assert dec.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert dec.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+        # laid out as the list kernel lays them out, and read-only
+        assert dec.eigenvectors.strides == fresh.eigenvectors.strides
+        assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
 
 
 def _reports():

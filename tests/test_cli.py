@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from opineq import BadParameter, TrialSpec, run_campaign, spectral
+from opineq import BadParameter, TrialSpec, run_campaign, spectral, verifier
 from opineq.cli import _build_parser, load_matrix_file, main, parse_json, render_json
 from opineq.verifier import MAX_TRIALS
 
@@ -117,18 +117,18 @@ class TestCheckCommand:
     def test_tolerance_override_judges_each_comparison_once(self, capsys, monkeypatch):
         solves = collections.Counter()
         one_by_one = spectral._cyclic_jacobi
-        batched = spectral._jacobi_eigenvalues_batch
+        batched = spectral._jacobi_batch
 
         def counting(a, vectors=True):
             solves["list"] += 1
             return one_by_one(a, vectors)
 
-        def counting_batch(stack):
+        def counting_batch(stack, vectors=False):
             solves["batch"] += len(stack)
-            return batched(stack)
+            return batched(stack, vectors)
 
         monkeypatch.setattr(spectral, "_cyclic_jacobi", counting)
-        monkeypatch.setattr(spectral, "_jacobi_eigenvalues_batch", counting_batch)
+        monkeypatch.setattr(spectral, "_jacobi_batch", counting_batch)
         argv = ["check", "--matrix", f"{FIXTURES}/quartic_corner_3x3.json",
                 "--map", "identity", "--function", "power:4", "--json"]
         counts = []
@@ -175,6 +175,25 @@ class TestFuzzCommand:
             main(["fuzz", "--seed", "21", "--trials", "8", "--out", str(out)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_chunking_leaves_report_bytes_unchanged(self, tmp_path, monkeypatch):
+        decompose = verifier._decompose_many
+        chunks = []
+
+        def counting(matrices):
+            chunks.append(len(matrices) // 4)  # four drawn matrices per trial
+            decompose(matrices)
+
+        monkeypatch.setattr(verifier, "_decompose_many", counting)
+        outputs = []
+        for budget in (verifier._CHUNK_BUDGET, 1):  # one chunk, then one trial per chunk
+            monkeypatch.setattr(verifier, "_CHUNK_BUDGET", budget)
+            out, csv_path = tmp_path / f"{budget}.json", tmp_path / f"{budget}.csv"
+            main(["fuzz", "--seed", "5", "--dims", "2..8", "--trials", "24",
+                  "--out", str(out), "--csv", str(csv_path)])
+            outputs.append((out.read_bytes(), csv_path.read_bytes()))
+        assert chunks == [24] + [1] * 24
+        assert outputs[0] == outputs[1]
+
     def test_zero_trials_exit_2(self, tmp_path):
         assert main(["fuzz", "--trials", "0", "--out", str(tmp_path / "r.json")]) == 2
 
@@ -213,7 +232,7 @@ class TestFuzzCommand:
         def no_trial(*_args):
             raise AssertionError("a bad spec must be rejected before its first trial")
 
-        monkeypatch.setattr("opineq.verifier._run_trial", no_trial)
+        monkeypatch.setattr("opineq.verifier._draw_trial", no_trial)
         assert main(["fuzz", option, value, "--out", str(tmp_path / "r.json")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()

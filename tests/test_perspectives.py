@@ -70,6 +70,16 @@ class TestOperatorPair:
         with pytest.raises(SandwichViolated):
             OperatorPair(SymmetricMatrix.identity(2), SymmetricMatrix.diagonal([1.0, 2.0]), m=m, M=M)
 
+    @pytest.mark.parametrize("m, M", [(-math.inf, None), (None, math.inf), (-math.inf, math.inf)])
+    def test_infinite_interval_end_is_rejected(self, m, M):
+        with pytest.raises(BadParameter, match="finite m and M"):
+            OperatorPair(SymmetricMatrix.identity(2), SymmetricMatrix.diagonal([1.0, 2.0]), m=m, M=M)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_nonpositive_finite_m_is_allowed(self, m):
+        pair = OperatorPair(SymmetricMatrix.identity(2), SymmetricMatrix.diagonal([1.0, 2.0]), m=m)
+        assert pair.m == m and pair.M == 2.0
+
     def test_random_pair_needs_a_finite_interval(self):
         with pytest.raises(BadParameter, match="M < inf"):
             random_sandwich_pair(1, 2, 0.5, math.inf)

@@ -147,6 +147,14 @@ class TestSecondDerivativeRange:
         with pytest.raises(DomainViolation):
             second_derivative_range(catalog_lookup("log"), -1.0, 2.0)
 
+    @pytest.mark.parametrize("m, M", [(2.0, 1.0), (1.0, 1.0)])
+    def test_empty_interval_is_a_bad_parameter(self, m, M):
+        # the same class as the sandwich and Kantorovich interval checks
+        with pytest.raises(BadParameter, match="need m < M"):
+            second_derivative_range(catalog_lookup("log"), m, M)
+        with pytest.raises(BadParameter, match="need m < M"):
+            chord_line(catalog_lookup("log"), m, M)
+
 
 class TestChordLine:
     def test_parabola_unit_interval(self):

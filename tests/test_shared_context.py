@@ -26,19 +26,19 @@ from opineq.verifier import TrialSpec, random_symmetric_with_spectrum, run_campa
 def test_trial_solves_each_input_once(function, max_solves, monkeypatch):
     inputs = collections.Counter()
     one_by_one = spectral._cyclic_jacobi
-    batched = spectral._jacobi_eigenvalues_batch
+    batched = spectral._jacobi_batch
 
     def counting(a, vectors=True):
         inputs[(a.shape, a.tobytes())] += 1
         return one_by_one(a, vectors)
 
-    def counting_batch(stack):
+    def counting_batch(stack, vectors=False):
         for a in stack:  # each matrix of a batched solve is one solve
             inputs[(a.shape, a.tobytes())] += 1
-        return batched(stack)
+        return batched(stack, vectors)
 
     monkeypatch.setattr(spectral, "_cyclic_jacobi", counting)
-    monkeypatch.setattr(spectral, "_jacobi_eigenvalues_batch", counting_batch)
+    monkeypatch.setattr(spectral, "_jacobi_batch", counting_batch)
     run_campaign(TrialSpec(seed=100, dim_range=(6, 6), trials=1,
                            function_set=(function,), map_set=("corner",)))
     repeats = sum(inputs.values()) - len(inputs)

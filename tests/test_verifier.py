@@ -17,6 +17,7 @@ from opineq import (
     registered_inequalities,
     replay_failure,
     run_campaign,
+    verifier,
 )
 from opineq.verifier import MAX_DIM, MAX_TRIALS
 
@@ -109,6 +110,12 @@ class TestCampaign:
     def test_rejects_oversized_specs(self, spec):
         with pytest.raises(BadParameter):
             spec.validate()
+
+    def test_chunks_fill_up_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(verifier, "_CHUNK_BUDGET", 3 * 4**2)
+        chunks = list(verifier._chunks(TrialSpec(seed=1, dim_range=(4, 4), trials=10)))
+        assert [len(chunk) for chunk in chunks] == [3, 3, 3, 1]
+        assert [draw.index for chunk in chunks for draw in chunk] == list(range(10))
 
     def test_deterministic_reports(self):
         spec = TrialSpec(seed=5, trials=10)

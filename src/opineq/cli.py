@@ -36,11 +36,7 @@ from .perspectives import (
     quantum_tsallis_entropy,
 )
 from .rng import derive_seed
-from .spectral import (
-    SymmetricMatrix,
-    _matrix_from_payload,
-    _vector_from_payload,
-)
+from .spectral import SymmetricMatrix, _array_from_payload
 from .verifier import FAMILIES, MAX_TRIALS, TrialSpec, random_density, run_campaign
 
 __all__ = ["main", "render_json", "parse_json", "load_matrix_file", "load_vector_file"]
@@ -89,12 +85,12 @@ def parse_json(text: str):
 def load_matrix_file(path: str) -> SymmetricMatrix:
     """Strict matrix loader: data length must equal dim**2."""
     with open(path) as handle:
-        return _matrix_from_payload(json.load(handle), path)
+        return SymmetricMatrix(_array_from_payload(json.load(handle), path, 2))
 
 
 def load_vector_file(path: str) -> np.ndarray:
     with open(path) as handle:
-        return _vector_from_payload(json.load(handle), path)
+        return _array_from_payload(json.load(handle), path, 1)
 
 
 def _build_map(spec: str, dim: int):
@@ -183,10 +179,15 @@ def cmd_check(args) -> int:
     return 0 if all_hold else 1
 
 
+def _seed(args) -> int:
+    """``--seed``, else ``OPINEQ_SEED``, else ``DEFAULT_SEED``."""
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("OPINEQ_SEED", DEFAULT_SEED))
+
+
 def cmd_fuzz(args) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("OPINEQ_SEED", DEFAULT_SEED))
+    seed = _seed(args)
     lo, hi = _parse_dims(args.dims)
     spec = TrialSpec(seed=seed, dim_range=(lo, hi), trials=args.trials,
                      tolerance=args.tol if args.tol is not None else 1e-8)
@@ -264,9 +265,7 @@ def cmd_entropy(args) -> int:
     elif args.random is not None:
         if not 1 <= args.random <= MAX_TRIALS:
             raise BadParameter(f"--random must be between 1 and {MAX_TRIALS}, got {args.random}")
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("OPINEQ_SEED", DEFAULT_SEED))
+        seed = _seed(args)
         for index in range(args.random):
             rho = random_density(derive_seed(seed, index), 2 + index % 5)
             rows.append(_entropy_row(rho, args.p))

@@ -138,13 +138,9 @@ def _power_function(r: float) -> ScalarFunction:
             # r >= 3 on the whole line: t^{r-2} is monotone iff r-2 is odd
             shape = Deriv2Shape.NONDECREASING if (round(r) - 2) % 2 == 1 else Deriv2Shape.GENERAL
         else:
+            # nonzero: r = 0, 1 and 2 returned a constant f'' above
             slope_sign = r * (r - 1.0) * (r - 2.0)
-            if slope_sign > 0:
-                shape = Deriv2Shape.NONDECREASING
-            elif slope_sign < 0:
-                shape = Deriv2Shape.NONINCREASING
-            else:
-                shape = Deriv2Shape.CONSTANT
+            shape = Deriv2Shape.NONDECREASING if slope_sign > 0 else Deriv2Shape.NONINCREASING
 
     def evaluate(t, _r=r):
         return np.power(np.asarray(t, dtype=float), _r)
@@ -189,6 +185,36 @@ def _tsallis_entropy_kernel(p: float) -> ScalarFunction:
     return ScalarFunction(f"tsallis_g:{p:g}", evaluate, deriv2, (0.0, math.inf), shape, (p,))
 
 
+def _log() -> ScalarFunction:
+    return ScalarFunction(
+        "log",
+        lambda t: np.log(np.asarray(t, dtype=float)),
+        lambda t: -1.0 / np.square(np.asarray(t, dtype=float)),
+        (0.0, math.inf),
+        Deriv2Shape.NONDECREASING,
+    )
+
+
+def _exp() -> ScalarFunction:
+    return ScalarFunction(
+        "exp",
+        lambda t: np.exp(np.asarray(t, dtype=float)),
+        lambda t: np.exp(np.asarray(t, dtype=float)),
+        (-math.inf, math.inf),
+        Deriv2Shape.NONDECREASING,
+    )
+
+
+# name -> (number of parameters, builder taking them as arguments)
+_CATALOG = {
+    "power": (1, _power_function),
+    "log": (0, _log),
+    "exp": (0, _exp),
+    "tsallis_f": (1, _tsallis_deformed_log),
+    "tsallis_g": (1, _tsallis_entropy_kernel),
+}
+
+
 def catalog_lookup(name: str, params=()) -> ScalarFunction:
     """Look up a catalog function.
 
@@ -197,40 +223,15 @@ def catalog_lookup(name: str, params=()) -> ScalarFunction:
     ((t - t^{1-p})/p), the latter two with one order parameter in
     [-1, 1] excluding 0.
     """
+    if name not in _CATALOG:
+        raise UnknownFunction(f"no catalog entry named {name!r}")
+    count, build = _CATALOG[name]
     params = tuple(float(p) for p in params)
-    if name == "power":
-        if len(params) != 1:
-            raise BadParameter("power requires exactly one exponent parameter")
-        return _power_function(params[0])
-    if name == "log":
-        if params:
-            raise BadParameter("log takes no parameters")
-        return ScalarFunction(
-            "log",
-            lambda t: np.log(np.asarray(t, dtype=float)),
-            lambda t: -1.0 / np.square(np.asarray(t, dtype=float)),
-            (0.0, math.inf),
-            Deriv2Shape.NONDECREASING,
-        )
-    if name == "exp":
-        if params:
-            raise BadParameter("exp takes no parameters")
-        return ScalarFunction(
-            "exp",
-            lambda t: np.exp(np.asarray(t, dtype=float)),
-            lambda t: np.exp(np.asarray(t, dtype=float)),
-            (-math.inf, math.inf),
-            Deriv2Shape.NONDECREASING,
-        )
-    if name == "tsallis_f":
-        if len(params) != 1:
-            raise BadParameter("tsallis_f requires exactly one order parameter")
-        return _tsallis_deformed_log(params[0])
-    if name == "tsallis_g":
-        if len(params) != 1:
-            raise BadParameter("tsallis_g requires exactly one order parameter")
-        return _tsallis_entropy_kernel(params[0])
-    raise UnknownFunction(f"no catalog entry named {name!r}")
+    if len(params) != count:
+        raise BadParameter(f"{name} takes {count} parameter(s), got {len(params)}")
+    if not all(math.isfinite(p) for p in params):
+        raise BadParameter(f"{name} parameters must be finite, got {params!r}")
+    return build(*params)
 
 
 def parse_function_spec(spec: str) -> ScalarFunction:

@@ -185,23 +185,39 @@ class CongruenceMixture(PositiveUnitalMap):
 
 
 def map_from_info(info: dict, dim: int) -> PositiveUnitalMap:
-    """The map an info dict describes; campaign reproducer records store maps this way."""
+    """The map an info dict describes; campaign reproducer records store maps this way.
+
+    Unlike the constructors, this refuses a description that is not unital
+    to ``verify_map``'s 1e-12: a ``vecstate`` vector x needs |x.x - 1| <= 1e-12,
+    and a ``mixture`` needs max|sum_i w_i U_i^T U_i - I| <= 1e-12.
+    """
     tag = info["tag"]
     if tag == "corner":
         return corner_map(dim, info["out_dim"])
     if tag == "identity":
         return identity_map(dim)
     if tag == "vecstate":
-        return VectorState(np.array(info["vector"]))
+        phi = VectorState(info["vector"])
+        _check_unital(abs(float(phi.vector @ phi.vector) - 1.0), tag)
+        return phi
     if tag == "trace":
         return NormalizedTrace(dim)
     if tag == "pinching":
         return Pinching(dim, info["blocks"])
     if tag == "mixture":
-        return CongruenceMixture(
+        phi = CongruenceMixture(
             [(w, np.array(f)) for w, f in zip(info["weights"], info["factors"])]
         )
+        image = sum(w * (u.T @ u) for w, u in phi.terms)
+        _check_unital(float(np.abs(image - np.eye(phi.in_dim)).max()), tag)
+        return phi
     raise BadParameter(f"unknown map tag {tag!r}")
+
+
+def _check_unital(error: float, tag: str) -> None:
+    """Raise ``BadParameter`` unless a map's unitality ``error`` is at most 1e-12; NaN fails."""
+    if not error <= 1e-12:
+        raise BadParameter(f"{tag} map is not unital: error {error:.3e} exceeds 1e-12")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ of distinct same-size matrices.  Every eigenvalues-only solve goes through
 it (``_eigenvalues_many``): each Loewner comparison, alone or judged
 together with others (a campaign chunk's, say).  ``_decompose_many`` fills
 the decomposition caches of many matrices through it (a campaign chunk's
-drawn inputs); ``eigendecompose`` solves one matrix with the list kernel.
+drawn inputs), and ``eigendecompose`` fills one matrix's cache through
+it on a cache miss.  So ``_solve_many`` is the kernels' only caller.
 
 Both kernels write each new row into the matching column, so they rely on
 their input being bitwise symmetric: entry (i, j) and entry (j, i) are the
@@ -215,22 +216,31 @@ class SpectralDecomposition:
         return self.recombine(self.eigenvalues)
 
 
-def _matrix_from_payload(payload: dict, source: str) -> SymmetricMatrix:
-    """Matrix from ``{"dim": n, "data": [n*n row-major reals]}``; ``source`` names it in errors."""
-    dim = int(payload["dim"])
-    data = payload["data"]
-    if len(data) != dim * dim:
-        raise InvalidMatrix(f"{source}: expected {dim * dim} entries, got {len(data)}")
-    return SymmetricMatrix(np.array(data, dtype=float).reshape(dim, dim))
+def _array_from_payload(payload: dict, source: str, axes: int) -> np.ndarray:
+    """Array with ``axes`` axes of length n from ``{"dim": n, "data": [n**axes row-major reals]}``.
 
-
-def _vector_from_payload(payload: dict, source: str) -> np.ndarray:
-    """Vector from ``{"dim": n, "data": [n reals]}``; ``source`` names it in errors."""
-    dim = int(payload["dim"])
+    Matrix files, vector files, fixtures and reproducer records all go
+    through here; ``source`` names the payload in errors.  A ``dim`` that is
+    not a positive integer, ``data`` that is not a flat list of reals and
+    non-finite entries raise ``InvalidMatrix``.
+    """
+    dim = payload["dim"]
     data = payload["data"]
-    if len(data) != dim:
-        raise InvalidMatrix(f"{source}: expected {dim} entries, got {len(data)}")
-    return np.array(data, dtype=float)
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise InvalidMatrix(f"{source}: dim must be a positive integer, got {dim!r}")
+    if not isinstance(data, (list, tuple)) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
+    ):
+        raise InvalidMatrix(f"{source}: data must be a flat list of reals")
+    if len(data) != dim**axes:
+        raise InvalidMatrix(f"{source}: expected {dim**axes} entries, got {len(data)}")
+    try:
+        arr = np.array(data, dtype=float)
+    except OverflowError:  # an integer beyond the largest float
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise InvalidMatrix(f"{source}: entries must be finite")
+    return arr.reshape((dim,) * axes)
 
 
 def _interval_or_hull(lo: float, hi: float, m, M) -> tuple[float, float]:
@@ -487,17 +497,13 @@ def _eigenvalues_many(arrays) -> list:
 def _decompose_many(matrices) -> None:
     """Fill the decomposition cache of each matrix in one ``_solve_many`` call.
 
-    Each cache gets the bits that ``eigendecompose`` would give it alone.
+    Each cache gets the bits ``_cyclic_jacobi`` gives its matrix alone.
     """
     todo = [matrix for matrix in matrices if matrix._decomposition is None]
-    for matrix, solved in zip(todo, _solve_many([m.entries for m in todo], vectors=True)):
-        _store_decomposition(matrix, *solved)
-
-
-def _store_decomposition(matrix: SymmetricMatrix, lam: np.ndarray, q: np.ndarray) -> None:
-    lam.setflags(write=False)
-    q.setflags(write=False)
-    matrix._decomposition = SpectralDecomposition(lam, q)
+    for matrix, (lam, q) in zip(todo, _solve_many([m.entries for m in todo], vectors=True)):
+        lam.setflags(write=False)
+        q.setflags(write=False)
+        matrix._decomposition = SpectralDecomposition(lam, q)
 
 
 def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
@@ -509,7 +515,7 @@ def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
     from subnormal up to 1e308 are handled.  Deterministic for a fixed input.
     """
     if matrix._decomposition is None:
-        _store_decomposition(matrix, *_cyclic_jacobi(matrix.entries))
+        _decompose_many((matrix,))
     return matrix._decomposition
 
 

@@ -55,9 +55,9 @@ from .perspectives import (
 from .rng import SplitMix64, derive_seed
 from .spectral import (
     SymmetricMatrix,
+    _array_from_payload,
     _checked_tolerance,
     _decompose_many,
-    _matrix_from_payload,
     matrix_sqrt_inv_sqrt,
 )
 
@@ -120,6 +120,12 @@ class TrialSpec:
             raise BadParameter("tolerance must be positive")
         if not self.function_set or not self.map_set:
             raise BadParameter("function and map sets must be nonempty")
+        # a typo fails here, not partway through the campaign; SplitMix64(0)
+        # is a stream of its own, so the trials' draws stay as they are
+        for fn_spec in self.function_set:
+            parse_function_spec(fn_spec)
+        for tag in self.map_set:
+            _make_map(tag, lo, SplitMix64(0))
 
     def to_dict(self) -> dict:
         return {
@@ -352,33 +358,6 @@ def _matrix_data(matrix: SymmetricMatrix) -> list:
     return [float(x) for x in matrix.entries.reshape(-1)]
 
 
-@dataclass
-class _Collector:
-    tolerance: float
-    trial: int
-    seed: int
-    dim: int
-    rows: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
-
-    def add(self, report, inputs: dict) -> None:
-        label = report.label
-        slack, scale = _slack_and_scale(report)
-        passed = slack >= -(self.tolerance * (1.0 + scale))
-        self.rows.append([label, self.trial, self.dim, float(slack), bool(passed)])
-        if not passed:
-            self.failures.append(
-                {
-                    "label": label,
-                    "trial": self.trial,
-                    "seed": self.seed,
-                    "dim": self.dim,
-                    "slack": float(slack),
-                    "inputs": inputs,
-                }
-            )
-
-
 def _slack_and_scale(report) -> tuple[float, float]:
     """Signed slack and the scale its failure threshold grows with."""
     if isinstance(report, ScalarCheck):
@@ -561,12 +540,20 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
             *[matrix for _, statistics in trials for matrix in statistics],
         ))
         for draw, (evaluated, _) in zip(chunk, trials):
-            out = _Collector(spec.tolerance, draw.index, draw.seed, draw.dim)
             for reports, inputs in evaluated:
                 for report in reports:
-                    out.add(report, inputs)
-            rows.extend(out.rows)
-            failures.extend(out.failures)
+                    slack, scale = _slack_and_scale(report)
+                    passed = slack >= -(spec.tolerance * (1.0 + scale))
+                    rows.append([report.label, draw.index, draw.dim, float(slack), bool(passed)])
+                    if not passed:
+                        failures.append({
+                            "label": report.label,
+                            "trial": draw.index,
+                            "seed": draw.seed,
+                            "dim": draw.dim,
+                            "slack": float(slack),
+                            "inputs": inputs,
+                        })
             third, improvement = next(spectra), next(spectra)
             stats["third_term_min"] = min(stats["third_term_min"], float(third[0]))
             stats["third_term_max"] = max(stats["third_term_max"], float(third[-1]))
@@ -611,7 +598,7 @@ def _prepare(inputs: dict) -> tuple:
     dim = inputs["dim"]
 
     def matrix(key: str) -> SymmetricMatrix:
-        return _matrix_from_payload({"dim": dim, "data": inputs[key]}, key)
+        return SymmetricMatrix(_array_from_payload({"dim": dim, "data": inputs[key]}, key, 2))
 
     if kind in ("cdj", "power_chain", "kantorovich"):
         operator = matrix("matrix")

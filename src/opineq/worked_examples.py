@@ -32,8 +32,7 @@ from .maps import NormalizedTrace, VectorState, corner_map
 from .spectral import (
     LoewnerRelation,
     SymmetricMatrix,
-    _matrix_from_payload,
-    _vector_from_payload,
+    _array_from_payload,
     apply_scalar_function,
     loewner_compare,
 )
@@ -87,11 +86,11 @@ def _fixture_payload(name: str) -> dict:
 
 
 def load_fixture_matrix(name: str) -> SymmetricMatrix:
-    return _matrix_from_payload(_fixture_payload(name), name)
+    return SymmetricMatrix(_array_from_payload(_fixture_payload(name), name, 2))
 
 
 def load_fixture_vector(name: str) -> np.ndarray:
-    return _vector_from_payload(_fixture_payload(name), name)
+    return _array_from_payload(_fixture_payload(name), name, 1)
 
 
 def quartic_corner_counterexample() -> ExampleResult:

@@ -7,8 +7,10 @@ its own stopping test, so its eigenvalues and eigenvectors must be the bytes
 of ``_cyclic_jacobi(a, vectors)`` whatever else shares the stack.
 """
 
+import ast
 import collections
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +210,36 @@ def test_with_tolerance_reuses_the_judged_gaps(monkeypatch):
     report.verdict
     monkeypatch.setattr(spectral, "_cyclic_jacobi", None)  # any further solve fails
     assert with_tolerance(report, 1e-3).verdict == expected
+
+
+def test_solve_many_is_the_only_caller_of_the_kernels():
+    # one door: a solve counter or tracer hooked on _solve_many sees every solve
+    source = Path(spectral.__file__).read_text()
+    callers = collections.Counter()
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id in ("_cyclic_jacobi", "_jacobi_batch"):
+                    callers[function.name, node.func.id] += 1
+    assert set(callers) == {("_solve_many", "_cyclic_jacobi"), ("_solve_many", "_jacobi_batch")}
+
+
+def test_eigendecompose_solves_a_cache_miss_through_solve_many(monkeypatch):
+    matrix = SymmetricMatrix(_mixed(np.random.default_rng(8), 5, 0))
+    expected = _cyclic_jacobi(matrix.entries)
+    calls = []
+    solve_many = spectral._solve_many
+
+    def counting(arrays, vectors):
+        calls.append((len(arrays), vectors))
+        return solve_many(arrays, vectors)
+
+    monkeypatch.setattr(spectral, "_solve_many", counting)
+    dec = eigendecompose(matrix)
+    assert eigendecompose(matrix) is dec  # a hit solves nothing
+    assert calls == [(1, True)]
+    assert dec.eigenvalues.tobytes() == expected[0].tobytes()
+    assert dec.eigenvectors.tobytes() == expected[1].tobytes()
+    assert dec.eigenvectors.strides == expected[1].strides
+    assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from opineq import BadParameter, TrialSpec, run_campaign, spectral, verifier
-from opineq.cli import _build_parser, load_matrix_file, main, parse_json, render_json
+from opineq import BadParameter, InvalidMatrix, TrialSpec, run_campaign, spectral, verifier
+from opineq.cli import _build_parser, load_matrix_file, load_vector_file, main, parse_json, render_json
 from opineq.verifier import MAX_TRIALS
 
 FIXTURES = "src/opineq/fixtures"
@@ -299,8 +299,10 @@ class TestEntropyCommand:
         (["check", "--matrix", CUBE, "--function", "power:3", "--map", "pinching"], "unknown map spec"),
         (["fuzz", "--dims", "2..x"], "bad dimension range"),
         (["entropy"], "provide --rho"),
+        (["check", "--matrix", CUBE, "--function", "power:inf"], "parameters must be finite"),
     ],
-    ids=["vecstate_without_path", "unknown_map", "non_integer_dims", "entropy_without_input"],
+    ids=["vecstate_without_path", "unknown_map", "non_integer_dims", "entropy_without_input",
+         "infinite_exponent"],
 )
 def test_usage_error_raises_bad_parameter_and_exits_2(argv, message, capsys):
     args = _build_parser().parse_args(argv)
@@ -321,6 +323,39 @@ class TestMatrixLoader:
         path = write_matrix(tmp_path, "asym.json", 2, [1.0, 2.0, 1.0, 3.0])
         code = main(["check", "--matrix", path, "--map", "trace", "--function", "power:2"])
         assert code == 2
+
+    @pytest.mark.parametrize("dim, data, message", [
+        (-1, [5.0], "dim must be a positive integer"),
+        (2.7, [1.0, 0.0, 0.0, 1.0], "dim must be a positive integer"),
+        (2, "abcd", "data must be a flat list of reals"),
+        (2, [1.0, float("nan"), float("nan"), 1.0], "entries must be finite"),
+        (2, [1.0, float("inf"), float("inf"), 1.0], "entries must be finite"),
+    ], ids=["negative_dim", "fractional_dim", "string_data", "nan", "inf"])
+    def test_malformed_files_are_invalid_matrices(self, dim, data, message, tmp_path, capsys):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        matrix = write_matrix(tmp_path, "a.json", dim, data)
+        vector = write_matrix(tmp_path, "v.json", dim, data[:2] if isinstance(data, list) else data)
+        with pytest.raises(InvalidMatrix, match=message):
+            load_matrix_file(matrix)
+        with pytest.raises(InvalidMatrix, match=message):
+            load_vector_file(vector)
+        good = write_matrix(tmp_path, "good.json", 2, [1.0, 0.3, 0.3, 2.0])
+        assert main(["check", "--matrix", matrix, "--map", "trace", "--function", "power:3"]) == 2
+        assert main(["check", "--matrix", good, "--map", f"vecstate:{vector}", "--function", "power:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(message) == 2
+
+
+def test_non_unit_state_vector_exits_2(tmp_path, capsys):
+    matrix = write_matrix(tmp_path, "a.json", 2, [1.0, 0.3, 0.3, 2.0])
+    vector = write_matrix(tmp_path, "v.json", 2, [0.2, 0.2])
+    argv = ["check", "--matrix", matrix, "--map", f"vecstate:{vector}",
+            "--function", "power:3", "--m", "0.05", "--M", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vecstate map is not unital" in captured.err
 
 
 # SHA-256 of the `check --json` and `kantorovich --json` outputs (exit code

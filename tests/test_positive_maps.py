@@ -18,6 +18,7 @@ from opineq import (
     random_symmetric_with_spectrum,
     verify_map,
 )
+from opineq.maps import map_from_info
 from opineq.verifier import random_orthogonal
 
 COUNTEREXAMPLE = SymmetricMatrix([[4.0, 1.0, -1.0], [1.0, 2.0, 1.0], [-1.0, 1.0, 2.0]])
@@ -135,3 +136,37 @@ class TestVerifyMap:
     def test_trials_must_be_positive(self):
         with pytest.raises(BadParameter):
             verify_map(corner_map(2, 1), trials=0)
+
+
+class TestMapFromInfo:
+    def test_unital_descriptions_build_their_maps(self):
+        state = map_from_info({"tag": "vecstate", "vector": [0.6, 0.8]}, 2)
+        assert isinstance(state, VectorState)
+        u1, u2 = all_variants()[-1].terms[0][1], random_orthogonal(SplitMix64(3), 3)
+        mixture = map_from_info(
+            {"tag": "mixture", "weights": [0.25, 0.75], "factors": [u1.tolist(), u2.tolist()]}, 3
+        )
+        assert verify_map(mixture, trials=5).passed
+
+    @pytest.mark.parametrize("vector", [
+        [0.2, 0.2],  # squared norm 0.08
+        [0.6, 0.8 + 1e-11],  # off by about 1.6e-11, past the 1e-12 verify_map allows
+        [float("nan"), 0.0],
+    ], ids=["short", "just_past_the_threshold", "nan"])
+    def test_non_unit_state_vector_is_refused(self, vector):
+        with pytest.raises(BadParameter, match="vecstate map is not unital"):
+            map_from_info({"tag": "vecstate", "vector": vector}, 2)
+
+    @pytest.mark.parametrize("factor", [
+        [[1.0, 0.0], [1.0, 1.0]],  # not orthogonal
+        [[1.0, 0.0], [0.0, float("nan")]],
+    ], ids=["not_orthogonal", "nan"])
+    def test_non_orthogonal_mixture_is_refused(self, factor):
+        info = {"tag": "mixture", "weights": [0.5, 0.5], "factors": [np.eye(2).tolist(), factor]}
+        with pytest.raises(BadParameter, match="mixture map is not unital"):
+            map_from_info(info, 2)
+
+    def test_constructors_stay_permissive_for_verify_map(self):
+        broken = CongruenceMixture([(0.5, np.eye(2)), (0.5, np.array([[1.0, 0.0], [1.0, 1.0]]))])
+        assert not verify_map(broken, trials=1).unitality_ok
+        assert not verify_map(VectorState([0.2, 0.2]), trials=1).unitality_ok

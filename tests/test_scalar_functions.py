@@ -105,6 +105,32 @@ class TestCatalog:
             with pytest.raises(BadParameter):
                 catalog_lookup("tsallis_f", [bad])
 
+    @pytest.mark.parametrize("name, count", [
+        ("power", 1), ("log", 0), ("exp", 0), ("tsallis_f", 1), ("tsallis_g", 1),
+    ])
+    def test_parameter_count_rule(self, name, count):
+        params = [0.5] * count
+        assert catalog_lookup(name, params).params == tuple(params)
+        for wrong in (count - 1, count + 1):
+            if wrong >= 0:
+                with pytest.raises(BadParameter, match=f"{name} takes {count} parameter"):
+                    catalog_lookup(name, [0.5] * wrong)
+        if count:
+            for bad in (math.inf, -math.inf, math.nan):
+                with pytest.raises(BadParameter, match="must be finite"):
+                    catalog_lookup(name, [bad])
+
+    @pytest.mark.parametrize("spec, value", [("tsallis_g:1", 0.0), ("tsallis_g:-1", 2.0)])
+    def test_tsallis_g_constant_second_derivative_ends(self, spec, value):
+        # p = 1 gives t - 1 and p = -1 gives t^2 - t
+        fn = parse_function_spec(spec)
+        assert fn.deriv2_shape is Deriv2Shape.CONSTANT
+        assert np.all(np.asarray(fn.deriv2(np.array([0.3, 1.0, 2.7]))) == value)
+        bounds = second_derivative_range(fn, 0.5, 2.0)
+        assert (bounds.alpha, bounds.beta) == (value, value)
+        for t in (0.5, 1.3, 2.4):
+            assert finite_difference_d2(fn, t) == pytest.approx(value, abs=1e-6)
+
     def test_unknown_function(self):
         with pytest.raises(UnknownFunction):
             catalog_lookup("sinh")

@@ -25,7 +25,7 @@ from opineq import (
     natural_power,
     random_symmetric_with_spectrum,
 )
-from opineq.spectral import _cyclic_jacobi, _matrix_from_payload, _vector_from_payload
+from opineq.spectral import _array_from_payload, _cyclic_jacobi
 
 
 def inverse_2x2_oracle(a):
@@ -159,11 +159,40 @@ def test_public_constructor_still_validates_arrays():
     assert matrix.entries[0, 1] == 2.0
 
 
-@pytest.mark.parametrize("parse", [_matrix_from_payload, _vector_from_payload])
-def test_payload_of_wrong_length_is_rejected(parse):
+@pytest.mark.parametrize("axes", [2, 1])
+def test_payload_of_wrong_length_is_rejected(axes):
     # a 2x2 matrix needs 4 entries and a 2-vector 2, so 3 fit neither
-    with pytest.raises(InvalidMatrix, match="x.json: expected"):
-        parse({"dim": 2, "data": [1.0, 2.0, 3.0]}, "x.json")
+    with pytest.raises(InvalidMatrix, match=f"x.json: expected {2**axes} entries, got 3"):
+        _array_from_payload({"dim": 2, "data": [1.0, 2.0, 3.0]}, "x.json", axes)
+
+
+@pytest.mark.parametrize("axes", [2, 1])
+@pytest.mark.parametrize("payload, message", [
+    ({"dim": -1, "data": [5.0]}, "dim must be a positive integer"),
+    ({"dim": 0, "data": []}, "dim must be a positive integer"),
+    ({"dim": 2.7, "data": [1.0, 2.0]}, "dim must be a positive integer"),
+    ({"dim": True, "data": [1.0]}, "dim must be a positive integer"),
+    ({"dim": "2", "data": [1.0, 2.0]}, "dim must be a positive integer"),
+    ({"dim": 2, "data": "abcd"}, "data must be a flat list of reals"),
+    ({"dim": 2, "data": ["1", "2", "3", "4"]}, "data must be a flat list of reals"),
+    ({"dim": 2, "data": [[1.0, 2.0], [2.0, 1.0]]}, "data must be a flat list of reals"),
+    ({"dim": 2, "data": [True, False, False, True]}, "data must be a flat list of reals"),
+    ({"dim": 1, "data": [math.nan]}, "entries must be finite"),
+    ({"dim": 1, "data": [math.inf]}, "entries must be finite"),
+    ({"dim": 1, "data": [10**400]}, "entries must be finite"),
+], ids=["negative_dim", "zero_dim", "fractional_dim", "bool_dim", "string_dim", "string_data",
+        "string_entries", "nested_data", "bool_entries", "nan", "inf", "huge_int"])
+def test_malformed_payload_is_an_invalid_matrix(payload, message, axes):
+    with pytest.raises(InvalidMatrix, match=f"x.json: {message}"):
+        _array_from_payload(payload, "x.json", axes)
+
+
+def test_payload_gives_row_major_arrays():
+    data = [1, 2.5, 3, 4]  # integers are reals too
+    matrix = _array_from_payload({"dim": 2, "data": data}, "x.json", 2)
+    assert matrix.dtype == float and np.array_equal(matrix, [[1.0, 2.5], [3.0, 4.0]])
+    vector = _array_from_payload({"dim": np.int64(4), "data": data}, "x.json", 1)
+    assert np.array_equal(vector, [1.0, 2.5, 3.0, 4.0])
 
 
 class TestEigendecompose:

@@ -8,6 +8,7 @@ from opineq import (
     InvalidMatrix,
     SymmetricMatrix,
     TrialSpec,
+    UnknownFunction,
     derive_seed,
     eigendecompose,
     loewner_compare,
@@ -110,6 +111,23 @@ class TestCampaign:
     def test_rejects_oversized_specs(self, spec):
         with pytest.raises(BadParameter):
             spec.validate()
+
+    @pytest.mark.parametrize("error, sets", [
+        (UnknownFunction, {"function_set": ("power:3", "lgo")}),
+        (BadParameter, {"function_set": ("power",)}),
+        (BadParameter, {"map_set": ("corner", "pinchng")}),
+    ], ids=["function_typo", "missing_parameter", "map_typo"])
+    def test_rejects_bad_entries_before_any_trial(self, error, sets, monkeypatch):
+        # with seed 0 and one dim-2 trial the typo is never drawn, so only
+        # validate can catch it; with seed 3 the campaign met it partway
+        monkeypatch.setattr(verifier, "_draw_trial", None)  # no trial may be drawn
+        for seed, trials, dims in ((0, 1, (2, 2)), (3, 2, (2, 8))):
+            fields = {"function_set": ("power:3",), "map_set": ("corner",), **sets}
+            spec = TrialSpec(seed=seed, trials=trials, dim_range=dims, **fields)
+            with pytest.raises(error):
+                spec.validate()
+            with pytest.raises(error):
+                run_campaign(spec)
 
     def test_chunks_fill_up_to_the_budget(self, monkeypatch):
         monkeypatch.setattr(verifier, "_CHUNK_BUDGET", 3 * 4**2)
@@ -272,6 +290,19 @@ class TestCampaign:
         for inputs, label, slack in cases:
             record = {"label": label, "slack": None, "inputs": inputs}
             assert replay_failure(record) == slack, label
+
+    @pytest.mark.parametrize("info", [
+        {"tag": "vecstate", "vector": [0.2, 0.2]},
+        {"tag": "mixture", "weights": [0.5, 0.5], "factors": [[[1.0, 0.0], [0.0, 1.0]],
+                                                              [[1.0, 0.0], [1.0, 1.0]]]},
+    ], ids=["vecstate", "mixture"])
+    def test_replay_refuses_a_non_unital_map(self, info):
+        inputs = {
+            "kind": "cdj", "matrix": [1.0, 0.3, 0.3, 2.0], "dim": 2, "map": info,
+            "function": "power:3", "m": 0.05, "M": 3.0,
+        }
+        with pytest.raises(BadParameter, match="not unital"):
+            replay_failure({"label": "chord_lower_image", "slack": None, "inputs": inputs})
 
     def test_replay_rejects_unknown_label_and_mismatched_kind(self):
         inputs = {"kind": "floor", "rho": [0.1, 0.0, 0.0, 0.9], "dim": 2, "p": 0.5}

@@ -7,108 +7,13 @@ Kantorovich-type sandwiches, operator perspectives and entropies, and a
 seeded fuzz harness with a CLI front end.
 """
 
-from .bounds import (
-    CdjContext,
-    ChainReport,
-    ImprovedKantorovich,
-    InequalityReport,
-    build_context,
-    chord_bounds,
-    improved_kantorovich,
-    jensen_converse_bound,
-    jensen_third_term,
-    jensen_upper_bound,
-    power_function_chain,
-    ratio_sandwich,
-    ratio_sandwich_min,
-    refined_sandwich_chain,
-    with_tolerance,
-)
-from .errors import (
-    BadParameter,
-    ConvergenceError,
-    DegenerateInterval,
-    DomainViolation,
-    InvalidMatrix,
-    NonPositiveConstant,
-    NonPositiveFunction,
-    NotPositiveDefinite,
-    NotStrictlyConvex,
-    OpineqError,
-    SandwichViolated,
-    ShapeError,
-    SpectrumNotEnclosed,
-    UnknownFunction,
-)
-from .functions import (
-    ChordLine,
-    Deriv2Shape,
-    IntervalBounds,
-    K_constant,
-    ScalarFunction,
-    catalog_lookup,
-    chord_line,
-    k_constant,
-    kantorovich_power_constant,
-    parse_function_spec,
-    second_derivative_range,
-)
-from .maps import (
-    Compression,
-    CongruenceMixture,
-    MapVerification,
-    NormalizedTrace,
-    Pinching,
-    PositiveUnitalMap,
-    VectorState,
-    corner_map,
-    identity_map,
-    verify_map,
-)
-from .perspectives import (
-    DensityOperator,
-    EntropyFloorCheck,
-    OperatorPair,
-    ScalarCheck,
-    TsallisTraceBounds,
-    map_commutation_bounds,
-    perspective,
-    perspective_bounds,
-    perspective_chord,
-    quantum_tsallis_entropy,
-    quantum_tsallis_lower_bound,
-    relative_entropy_bounds,
-    relative_operator_entropy,
-    sandwich_correction,
-    tsallis_entropy_bounds,
-    tsallis_relative_operator_entropy,
-    tsallis_relative_quantum_entropy,
-    tsallis_trace_bounds,
-    von_neumann_entropy,
-    von_neumann_lower_bound,
-)
-from .rng import SplitMix64, derive_seed, mix64
-from .spectral import (
-    LoewnerRelation,
-    LoewnerVerdict,
-    SpectralDecomposition,
-    SymmetricMatrix,
-    apply_scalar_function,
-    eigendecompose,
-    loewner_compare,
-    matrix_sqrt_inv_sqrt,
-    natural_power,
-    strict_positivity_tolerance,
-)
-from .verifier import (
-    CampaignReport,
-    TrialSpec,
-    random_density,
-    random_sandwich_pair,
-    random_symmetric_with_spectrum,
-    registered_inequalities,
-    replay_failure,
-    run_campaign,
-)
+from .bounds import *
+from .errors import *
+from .functions import *
+from .maps import *
+from .perspectives import *
+from .rng import *
+from .spectral import *
+from .verifier import *
 
 __version__ = "0.1.0"

@@ -28,20 +28,13 @@ from .bounds import _claim, _judge, build_context, with_tolerance
 from .errors import BadParameter, OpineqError
 from .functions import parse_function_spec
 from .maps import map_from_info
-from .perspectives import (
-    DensityOperator,
-    quantum_tsallis_lower_bound,
-    von_neumann_entropy,
-    von_neumann_lower_bound,
-    quantum_tsallis_entropy,
-)
+from .perspectives import DensityOperator, quantum_tsallis_lower_bound, von_neumann_lower_bound
 from .rng import derive_seed
 from .spectral import SymmetricMatrix, _array_from_payload
 from .verifier import FAMILIES, MAX_TRIALS, TrialSpec, random_density, run_campaign
 
 __all__ = ["main", "render_json", "parse_json", "load_matrix_file", "load_vector_file"]
 
-DEFAULT_SEED = 42
 # the families `check` evaluates, all on one context; of these only the ratio
 # sandwich has a precondition, f > 0 on [m, M]
 CHECK_FAMILIES = ("chord", "jensen_upper", "jensen_converse", "ratio")
@@ -180,17 +173,15 @@ def cmd_check(args) -> int:
 
 
 def _seed(args) -> int:
-    """``--seed``, else ``OPINEQ_SEED``, else ``DEFAULT_SEED``."""
+    """``--seed``, else ``OPINEQ_SEED``, else ``TrialSpec``'s default seed."""
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("OPINEQ_SEED", DEFAULT_SEED))
+    return int(os.environ.get("OPINEQ_SEED", TrialSpec.seed))
 
 
 def cmd_fuzz(args) -> int:
-    seed = _seed(args)
-    lo, hi = _parse_dims(args.dims)
-    spec = TrialSpec(seed=seed, dim_range=(lo, hi), trials=args.trials,
-                     tolerance=args.tol if args.tol is not None else 1e-8)
+    spec = TrialSpec(seed=_seed(args), dim_range=_parse_dims(args.dims), trials=args.trials,
+                     tolerance=args.tol)
     report = run_campaign(spec)
     text = render_json(report.to_dict()) + "\n"
     if args.out:
@@ -202,7 +193,7 @@ def cmd_fuzz(args) -> int:
         report.write_csv(args.csv)
     total = sum(agg["pass"] + agg["fail"] for agg in report.aggregates.values())
     print(
-        f"fuzz: seed={seed} trials={spec.trials} checks={total} "
+        f"fuzz: seed={spec.seed} trials={spec.trials} checks={total} "
         f"failures={report.total_failures}",
         file=sys.stderr,
     )
@@ -239,8 +230,6 @@ def cmd_paper_examples(_args) -> int:
 
 
 def _entropy_row(rho: DensityOperator, p: float) -> dict:
-    vn = von_neumann_entropy(rho)
-    sp = quantum_tsallis_entropy(rho, p)
     tsallis_floor = quantum_tsallis_lower_bound(rho, p)
     vn_floor = von_neumann_lower_bound(rho)
     return {
@@ -248,8 +237,8 @@ def _entropy_row(rho: DensityOperator, p: float) -> dict:
         "m": rho.m,
         "M": rho.M,
         "p": p,
-        "von_neumann": vn,
-        "tsallis": sp,
+        "von_neumann": vn_floor.entropy,
+        "tsallis": tsallis_floor.entropy,
         "tsallis_floor": tsallis_floor.bound,
         "tsallis_floor_slack": tsallis_floor.slack,
         "von_neumann_floor": vn_floor.bound,
@@ -274,21 +263,13 @@ def cmd_entropy(args) -> int:
     if args.json:
         print(render_json({"rows": rows}))
     else:
-        header = ("dim", "S", "S_p", "S_p floor", "slack", "S floor", "slack", "ok")
-        print(("{:>4} " + "{:>12} " * 6 + "{:>4}").format(*header))
+        line = "{:>4} " + "{:>12} " * 6 + "{:>4}"
+        print(line.format("dim", "S", "S_p", "S_p floor", "slack", "S floor", "slack", "ok"))
+        columns = ("von_neumann", "tsallis", "tsallis_floor", "tsallis_floor_slack",
+                   "von_neumann_floor", "von_neumann_floor_slack")
         for row in rows:
-            print(
-                "{:>4} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>4}".format(
-                    row["dim"],
-                    _human(row["von_neumann"]),
-                    _human(row["tsallis"]),
-                    _human(row["tsallis_floor"]),
-                    _human(row["tsallis_floor_slack"]),
-                    _human(row["von_neumann_floor"]),
-                    _human(row["von_neumann_floor_slack"]),
-                    "ok" if row["holds"] else "NO",
-                )
-            )
+            values = [_human(row[key]) for key in columns]
+            print(line.format(row["dim"], *values, "ok" if row["holds"] else "NO"))
     return 0 if all(row["holds"] for row in rows) else 1
 
 
@@ -319,12 +300,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="run a seeded campaign")
     fuzz.add_argument("--seed", type=int, default=None,
-                      help="campaign seed (default: OPINEQ_SEED or 42)")
-    fuzz.add_argument("--trials", type=int, default=200)
-    fuzz.add_argument("--dims", default="2..8", help="dimension range lo..hi")
+                      help=f"campaign seed (default: OPINEQ_SEED or {TrialSpec.seed})")
+    fuzz.add_argument("--trials", type=int, default=TrialSpec.trials)
+    fuzz.add_argument("--dims", default="%d..%d" % TrialSpec.dim_range, help="dimension range lo..hi")
     fuzz.add_argument("--out", default=None, help="write the JSON report here")
     fuzz.add_argument("--csv", default=None, help="write the per-trial slack table here")
-    fuzz.add_argument("--tol", type=float, default=None)
+    fuzz.add_argument("--tol", type=float, default=TrialSpec.tolerance)
     fuzz.set_defaults(handler=cmd_fuzz)
 
     examples = sub.add_parser("paper-examples", help="re-derive the built-in worked examples")
@@ -349,10 +330,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.handler(args)
-    except OpineqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OpineqError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -314,15 +314,16 @@ def second_derivative_range(fn: ScalarFunction, m: float, M: float) -> IntervalB
 
     Endpoint evaluations when the shape metadata says f'' is monotone or
     constant; otherwise grid minimization with golden-section refinement.
+    A constant f'' takes the nonincreasing branch, where both ends give the
+    same bits.  That branch also keeps alpha <= beta for a tsallis_f or
+    tsallis_g order within ``_PARAM_TOL`` of a constant one: it is marked
+    constant, but its f'' decreases slightly.
     """
     _check_interval(fn, m, M)
     shape = fn.deriv2_shape
-    if shape is Deriv2Shape.CONSTANT:
-        value = float(fn.deriv2(m))
-        return IntervalBounds(float(m), float(M), value, value)
     if shape is Deriv2Shape.NONDECREASING:
         return IntervalBounds(float(m), float(M), float(fn.deriv2(m)), float(fn.deriv2(M)))
-    if shape is Deriv2Shape.NONINCREASING:
+    if shape in (Deriv2Shape.NONINCREASING, Deriv2Shape.CONSTANT):
         return IntervalBounds(float(m), float(M), float(fn.deriv2(M)), float(fn.deriv2(m)))
     scalar = lambda t: float(fn.deriv2(t))
     _, alpha = _refined_extremum(fn.deriv2, scalar, m, M, maximize=False)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BadParameter, ShapeError
 from .rng import SplitMix64
-from .spectral import SymmetricMatrix
+from .spectral import SymmetricMatrix, _field
 
 __all__ = [
     "PositiveUnitalMap",
@@ -189,25 +189,28 @@ def map_from_info(info: dict, dim: int) -> PositiveUnitalMap:
 
     Unlike the constructors, this refuses a description that is not unital
     to ``verify_map``'s 1e-12: a ``vecstate`` vector x needs |x.x - 1| <= 1e-12,
-    and a ``mixture`` needs max|sum_i w_i U_i^T U_i - I| <= 1e-12.
+    and a ``mixture`` needs max|sum_i w_i U_i^T U_i - I| <= 1e-12.  A missing
+    or ill-typed field raises ``BadParameter`` naming it.
     """
-    tag = info["tag"]
+    what = "map description"
+    tag = _field(info, "tag", str, what)
     if tag == "corner":
-        return corner_map(dim, info["out_dim"])
+        return corner_map(dim, _field(info, "out_dim", int, what))
     if tag == "identity":
         return identity_map(dim)
     if tag == "vecstate":
-        phi = VectorState(info["vector"])
+        phi = _field(info, "vector", (list, tuple, np.ndarray), what, VectorState)
         _check_unital(abs(float(phi.vector @ phi.vector) - 1.0), tag)
         return phi
     if tag == "trace":
         return NormalizedTrace(dim)
     if tag == "pinching":
-        return Pinching(dim, info["blocks"])
+        return _field(info, "blocks", (list, tuple), what, lambda blocks: Pinching(dim, blocks))
     if tag == "mixture":
-        phi = CongruenceMixture(
-            [(w, np.array(f)) for w, f in zip(info["weights"], info["factors"])]
-        )
+        weights = _field(info, "weights", (list, tuple), what, lambda ws: [float(w) for w in ws])
+        factors = _field(info, "factors", (list, tuple), what,
+                         lambda fs: [np.array(f, dtype=float) for f in fs])
+        phi = CongruenceMixture(list(zip(weights, factors)))
         image = sum(w * (u.T @ u) for w, u in phi.terms)
         _check_unital(float(np.abs(image - np.eye(phi.in_dim)).max()), tag)
         return phi

@@ -324,6 +324,12 @@ class ScalarCheck:
     def holds(self) -> bool:
         return self.slack >= -self.tolerance
 
+    tightness = slack  # the name matrix reports give their slack
+
+    @property
+    def scale(self) -> float:
+        return max(1.0, abs(self.lhs), abs(self.rhs))
+
 
 def _scalar_check(label: str, lhs: float, rhs: float, tol_rel: float = 1e-8) -> ScalarCheck:
     tol = _checked_tolerance(tol_rel) * (1.0 + max(abs(lhs), abs(rhs)))

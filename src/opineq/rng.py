@@ -18,6 +18,8 @@ Doubles in [0, 1) take the top 53 bits of an output word.
 
 from __future__ import annotations
 
+__all__ = ["SplitMix64", "derive_seed", "mix64"]
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 

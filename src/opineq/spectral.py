@@ -243,6 +243,30 @@ def _array_from_payload(payload: dict, source: str, axes: int) -> np.ndarray:
     return arr.reshape((dim,) * axes)
 
 
+def _field(record, key: str, kind, what: str, convert=None):
+    """``record[key]``, a ``kind`` and not a bool, passed through ``convert`` if one is given.
+
+    Reproducer records and map descriptions are read through here.  A
+    ``record`` that is not a dict, a missing key, a value of another type and
+    a value that ``convert`` rejects with ``TypeError`` or ``ValueError`` all
+    raise ``BadParameter`` naming ``key`` and ``what`` holds it.  Errors that
+    ``convert`` raises as an ``OpineqError`` pass through unchanged.
+    """
+    if not isinstance(record, dict):
+        raise BadParameter(f"{what} must be a JSON object, got {record!r}")
+    if key not in record:
+        raise BadParameter(f"{what} has no {key!r}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise BadParameter(f"{what}: {key!r} has the wrong type: {value!r}")
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"{what}: bad {key!r}: {exc}") from exc
+
+
 def _interval_or_hull(lo: float, hi: float, m, M) -> tuple[float, float]:
     """(m, M) as floats; either one left as ``None`` defaults to its end of the hull [lo, hi]."""
     return float(lo if m is None else m), float(hi if M is None else M)

@@ -3,7 +3,9 @@
 Each trial derives its own SplitMix64 stream from (campaign seed, trial
 index), draws one operator instance plus one sandwich pair and two density
 operators, and evaluates every registered comparison whose preconditions
-hold.  Slack is the signed minimum eigenvalue of RHS - LHS; slack below
+hold.  Every report type gives its slack as ``tightness`` (the signed
+minimum eigenvalue of RHS - LHS, or RHS - LHS for a ``ScalarCheck``) and
+the ``scale`` its failure threshold grows with; slack below
 -tolerance*(1+scale) counts as a failure and is stored with a full
 reproducer record.
 
@@ -43,7 +45,6 @@ from .maps import PositiveUnitalMap, map_from_info
 from .perspectives import (
     DensityOperator,
     OperatorPair,
-    ScalarCheck,
     _tsallis_trace_bounds,
     map_commutation_bounds,
     perspective_bounds,
@@ -58,6 +59,7 @@ from .spectral import (
     _array_from_payload,
     _checked_tolerance,
     _decompose_many,
+    _field,
     matrix_sqrt_inv_sqrt,
 )
 
@@ -109,9 +111,18 @@ class TrialSpec:
     tolerance: float = 1e-8
 
     def validate(self) -> None:
+        dims = self.dim_range
+        if not (isinstance(dims, (tuple, list)) and len(dims) == 2):
+            raise BadParameter(f"dim_range must be a pair (lo, hi), got {dims!r}")
+        for name, value in (("seed", self.seed), ("trials", self.trials), ("dimension", dims[0]),
+                            ("dimension", dims[1])):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise BadParameter(f"{name} must be an int, got {value!r}")
+        if isinstance(self.function_set, str) or isinstance(self.map_set, str):
+            raise BadParameter("function_set and map_set must be sequences of names, not a string")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise BadParameter(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
-        lo, hi = self.dim_range
+        lo, hi = dims
         if not 2 <= lo <= hi <= MAX_DIM:
             raise BadParameter(
                 f"bad dimension range {self.dim_range!r}: need 2 <= lo <= hi <= {MAX_DIM}"
@@ -358,13 +369,6 @@ def _matrix_data(matrix: SymmetricMatrix) -> list:
     return [float(x) for x in matrix.entries.reshape(-1)]
 
 
-def _slack_and_scale(report) -> tuple[float, float]:
-    """Signed slack and the scale its failure threshold grows with."""
-    if isinstance(report, ScalarCheck):
-        return report.slack, max(1.0, max(abs(report.lhs), abs(report.rhs)))
-    return report.tightness, report.scale
-
-
 @dataclass
 class CampaignReport:
     """Aggregated slack statistics plus full reproducers for every failure."""
@@ -525,9 +529,9 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
     spec.validate()
     rows: list = []
     failures: list = []
-    stats = {
-        "third_term_min": float("inf"),
-        "third_term_max": float("-inf"),
+    statistics = {
+        "jensen_third_term_min_eig": float("inf"),
+        "jensen_third_term_max_eig": float("-inf"),
         "kantorovich_strict_improvements": 0,
     }
     for chunk in _chunks(spec):
@@ -542,8 +546,8 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         for draw, (evaluated, _) in zip(chunk, trials):
             for reports, inputs in evaluated:
                 for report in reports:
-                    slack, scale = _slack_and_scale(report)
-                    passed = slack >= -(spec.tolerance * (1.0 + scale))
+                    slack = report.tightness
+                    passed = slack >= -(spec.tolerance * (1.0 + report.scale))
                     rows.append([report.label, draw.index, draw.dim, float(slack), bool(passed)])
                     if not passed:
                         failures.append({
@@ -555,10 +559,12 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
                             "inputs": inputs,
                         })
             third, improvement = next(spectra), next(spectra)
-            stats["third_term_min"] = min(stats["third_term_min"], float(third[0]))
-            stats["third_term_max"] = max(stats["third_term_max"], float(third[-1]))
+            statistics["jensen_third_term_min_eig"] = min(
+                statistics["jensen_third_term_min_eig"], float(third[0]))
+            statistics["jensen_third_term_max_eig"] = max(
+                statistics["jensen_third_term_max_eig"], float(third[-1]))
             if float(improvement[0]) > 1e-12:
-                stats["kantorovich_strict_improvements"] += 1
+                statistics["kantorovich_strict_improvements"] += 1
 
     aggregates: dict = {}
     for label, _trial, _dim, slack, passed in rows:
@@ -581,56 +587,58 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
     for agg in aggregates.values():
         agg["mean_slack"] /= agg["pass"] + agg["fail"]
 
-    seen = set(aggregates)
-    missing = sorted(set(registered_inequalities()) - seen)
-    statistics = {
-        "jensen_third_term_min_eig": stats["third_term_min"],
-        "jensen_third_term_max_eig": stats["third_term_max"],
-        "kantorovich_strict_improvements": stats["kantorovich_strict_improvements"],
-        "coverage_missing": missing,
-    }
+    statistics["coverage_missing"] = sorted(set(registered_inequalities()) - set(aggregates))
     return CampaignReport(spec, rows, aggregates, failures, statistics)
 
 
-def _prepare(inputs: dict) -> tuple:
-    """Rebuild the prepared inputs of a reproducer record's kind."""
-    kind = inputs["kind"]
-    dim = inputs["dim"]
+def _input(inputs: dict, key: str, kind=(int, float)):
+    """Field ``key`` of a reproducer record's inputs, a real unless ``kind`` says otherwise."""
+    return _field(inputs, key, kind, "reproducer inputs")
+
+
+def _prepare(inputs: dict, kind: str) -> tuple:
+    """Rebuild the prepared inputs of a reproducer record of ``kind``."""
+    dim = _input(inputs, "dim", int)
 
     def matrix(key: str) -> SymmetricMatrix:
-        return SymmetricMatrix(_array_from_payload({"dim": dim, "data": inputs[key]}, key, 2))
+        data = _input(inputs, key, (list, tuple))
+        return SymmetricMatrix(_array_from_payload({"dim": dim, "data": data}, key, 2))
+
+    def map_and_function() -> tuple:
+        phi = map_from_info(_input(inputs, "map", dict), dim)
+        return phi, parse_function_spec(_input(inputs, "function", str))
 
     if kind in ("cdj", "power_chain", "kantorovich"):
         operator = matrix("matrix")
-        phi = map_from_info(inputs["map"], dim)
-        fn = parse_function_spec(inputs["function"])
-        ctx = build_context(operator, phi, fn, inputs["m"], inputs["M"])
+        ctx = build_context(operator, *map_and_function(), _input(inputs, "m"), _input(inputs, "M"))
         return (_kantorovich(ctx),) if kind == "kantorovich" else (ctx,)
     if kind == "pair":
         pair = OperatorPair(matrix("A"), matrix("B"))
-        phi = map_from_info(inputs["map"], dim)
-        return (pair, phi, parse_function_spec(inputs["function"]), inputs["p"])
+        return (pair, *map_and_function(), _input(inputs, "p"))
     rho = DensityOperator(matrix("rho"))
     if kind == "trace_bounds":
         sigma = DensityOperator(matrix("sigma"))
-        return (rho, sigma, inputs["p"], OperatorPair(rho.rho, sigma.rho, inputs["m"], inputs["M"]))
-    return (rho, inputs["p"])
+        relative = OperatorPair(rho.rho, sigma.rho, _input(inputs, "m"), _input(inputs, "M"))
+        return (rho, sigma, _input(inputs, "p"), relative)
+    return (rho, _input(inputs, "p"))
 
 
 def replay_failure(record: dict) -> float:
     """Re-run the single check a failure record describes; returns its slack.
 
     Replay is exact: the record carries the full inputs, so the recomputed
-    slack equals the recorded one bit-for-bit.
+    slack equals the recorded one bit-for-bit.  A missing or ill-typed field
+    raises ``BadParameter`` naming it.
     """
-    inputs = record["inputs"]
-    label = record["label"]
+    label = _field(record, "label", str, "failure record")
+    inputs = _field(record, "inputs", dict, "failure record")
     family = _FAMILY_OF_LABEL.get(label)
     if family is None:
         raise BadParameter(f"unknown inequality label {label!r}")
-    if inputs["kind"] != family.kind:
-        raise BadParameter(f"{label} needs reproducer kind {family.kind!r}, got {inputs['kind']!r}")
-    params = {name: inputs[name] for name in family.params}
-    reports = family.evaluate(*_prepare(inputs), **params)
+    kind = _input(inputs, "kind", str)
+    if kind != family.kind:
+        raise BadParameter(f"{label} needs reproducer kind {family.kind!r}, got {kind!r}")
+    params = {name: _input(inputs, name) for name in family.params}
+    reports = family.evaluate(*_prepare(inputs, kind), **params)
     _judge(reports)
-    return next(_slack_and_scale(r)[0] for r in reports if r.label == label)
+    return next(r.tightness for r in reports if r.label == label)

@@ -194,6 +194,20 @@ class TestFuzzCommand:
         assert chunks == [24] + [1] * 24
         assert outputs[0] == outputs[1]
 
+    def test_defaults_are_the_trial_spec_defaults(self, monkeypatch, capsys):
+        # fuzz without flags runs exactly TrialSpec(); the CLI keeps no copy of its defaults
+        specs = []
+
+        def record(spec):
+            specs.append(spec)
+            raise BadParameter("recorded")
+
+        monkeypatch.delenv("OPINEQ_SEED", raising=False)
+        monkeypatch.setattr("opineq.cli.run_campaign", record)
+        assert main(["fuzz"]) == 2
+        assert specs == [TrialSpec()]
+        assert "error: recorded" in capsys.readouterr().err
+
     def test_zero_trials_exit_2(self, tmp_path):
         assert main(["fuzz", "--trials", "0", "--out", str(tmp_path / "r.json")]) == 2
 

@@ -573,5 +573,13 @@ class TestEntropyFloors:
 
     def test_tsallis_floor_fails_for_wide_spread(self):
         check = quantum_tsallis_lower_bound(density(0.1, 0.9), 0.5)
+        # S_p = (sum lam^{1-p} - 1)/p and the claimed floor, both in closed form at p = 1/2
+        entropy = 2.0 * (math.sqrt(0.1) + math.sqrt(0.9) - 1.0)
+        floor = 0.5 * (0.9**1.5 - 0.1**1.5) * 0.1 * 0.9 / (2.0 * 0.1**1.5 * 0.9**1.5)
+        assert check.entropy == pytest.approx(entropy, rel=1e-12)
+        assert check.entropy == pytest.approx(0.529822, abs=1e-6)
+        assert check.bound == pytest.approx(floor, rel=1e-12)
+        assert check.bound == pytest.approx(0.685160, abs=1e-6)
+        assert check.slack == pytest.approx(entropy - floor, abs=1e-12)
         assert not check.holds
         assert check.nonneg_check.holds

@@ -131,6 +131,29 @@ class TestCatalog:
         for t in (0.5, 1.3, 2.4):
             assert finite_difference_d2(fn, t) == pytest.approx(value, abs=1e-6)
 
+    @pytest.mark.parametrize("spec, value", [
+        ("power:0", 0.0), ("power:1", 0.0), ("power:2", 2.0),
+        ("tsallis_f:1", 0.0), ("tsallis_g:1", 0.0), ("tsallis_g:-1", 2.0),
+    ])
+    def test_constant_shape_range_bits(self, spec, value):
+        # every constant-f'' entry: alpha and beta are the constant, to the bit and sign
+        fn = parse_function_spec(spec)
+        assert fn.deriv2_shape is Deriv2Shape.CONSTANT
+        for m, M in ((0.5, 3.0), (1e-3, 1e3)):
+            bounds = second_derivative_range(fn, m, M)
+            assert (bounds.alpha.hex(), bounds.beta.hex()) == (value.hex(), value.hex()), spec
+
+    @pytest.mark.parametrize("name, order", [
+        ("tsallis_f", 1.0 - 1e-13), ("tsallis_g", 1.0 - 1e-13), ("tsallis_g", -1.0 + 1e-13),
+    ])
+    def test_nearly_constant_shape_keeps_alpha_below_beta(self, name, order):
+        # marked constant within the parameter tolerance, but f'' still decreases
+        fn = catalog_lookup(name, [order])
+        assert fn.deriv2_shape is Deriv2Shape.CONSTANT
+        bounds = second_derivative_range(fn, 0.5, 3.0)
+        assert (bounds.alpha, bounds.beta) == (float(fn.deriv2(3.0)), float(fn.deriv2(0.5)))
+        assert bounds.alpha < bounds.beta
+
     def test_unknown_function(self):
         with pytest.raises(UnknownFunction):
             catalog_lookup("sinh")

@@ -6,6 +6,8 @@ import pytest
 from opineq import (
     BadParameter,
     InvalidMatrix,
+    ScalarCheck,
+    SpectrumNotEnclosed,
     SymmetricMatrix,
     TrialSpec,
     UnknownFunction,
@@ -16,11 +18,17 @@ from opineq import (
     random_sandwich_pair,
     random_symmetric_with_spectrum,
     registered_inequalities,
+    map_from_info,
     replay_failure,
     run_campaign,
     verifier,
 )
 from opineq.verifier import MAX_DIM, MAX_TRIALS
+
+# a valid cdj reproducer (the spectrum of the matrix is about [0.79, 2.21]) and a density matrix
+CDJ_INPUTS = {"kind": "cdj", "matrix": [2.0, 0.5, 0.5, 1.0], "dim": 2, "map": {"tag": "trace"},
+              "function": "power:3", "m": 0.5, "M": 3.0}
+RHO = [0.3, 0.1, 0.1, 0.7]
 
 
 class TestGenerators:
@@ -128,6 +136,49 @@ class TestCampaign:
                 spec.validate()
             with pytest.raises(error):
                 run_campaign(spec)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": 1.5}, "seed must be an int"),
+        ({"seed": True}, "seed must be an int"),
+        ({"trials": 2.5}, "trials must be an int"),
+        ({"trials": True}, "trials must be an int"),
+        ({"dim_range": (2.5, 3)}, "dimension must be an int"),
+        ({"dim_range": (2, 3, 4)}, "must be a pair"),
+        ({"dim_range": 3}, "must be a pair"),
+        ({"function_set": "power:3"}, "not a string"),
+        ({"map_set": "corner"}, "not a string"),
+    ], ids=["float_seed", "bool_seed", "float_trials", "bool_trials", "float_dim", "triple_dims",
+            "scalar_dims", "string_function_set", "string_map_set"])
+    def test_rejects_ill_typed_specs(self, fields, message, monkeypatch):
+        monkeypatch.setattr(verifier, "_draw_trial", None)  # no trial may be drawn
+        spec = TrialSpec(**{"trials": 1, **fields})
+        with pytest.raises(BadParameter, match=message):
+            spec.validate()
+        with pytest.raises(BadParameter, match=message):
+            run_campaign(spec)
+
+    def test_scalar_row_fails_below_twice_the_tolerance(self, monkeypatch):
+        # |lhs|, |rhs| < 1 gives scale 1, so a scalar row fails exactly when
+        # slack < -tol * (1 + 1); above 1 the threshold grows with the larger side
+        tol = 1e-8
+        checks = (
+            ScalarCheck("inside", 0.5, 0.5 - 1.99 * tol, 0.0),
+            ScalarCheck("outside", 0.5, 0.5 - 2.01 * tol, 0.0),
+            ScalarCheck("negative_side", -0.75, -0.75 - 1.99 * tol, 0.0),
+            ScalarCheck("large_inside", 3.0, 3.0 - 3.99 * tol, 0.0),
+            ScalarCheck("large_outside", 3.0, 3.0 - 4.01 * tol, 0.0),
+        )
+        assert [check.scale for check in checks] == [1.0, 1.0, 1.0, 3.0, 3.0]
+        assert all(check.tightness == check.slack for check in checks)
+        family = verifier.Family(tuple(c.label for c in checks), "floor", lambda rho, p: checks)
+        monkeypatch.setattr(verifier, "FAMILIES", {"scalar": family})
+        report = run_campaign(TrialSpec(seed=1, dim_range=(2, 2), trials=1, tolerance=tol))
+        verdicts = {label: passed for label, _trial, _dim, _slack, passed in report.rows}
+        assert verdicts == {
+            "inside": True, "outside": False, "negative_side": True,
+            "large_inside": True, "large_outside": False,
+        }
+        assert [f["label"] for f in report.failures] == ["outside", "large_outside"]
 
     def test_chunks_fill_up_to_the_budget(self, monkeypatch):
         monkeypatch.setattr(verifier, "_CHUNK_BUDGET", 3 * 4**2)
@@ -318,6 +369,69 @@ class TestCampaign:
         }
         with pytest.raises(InvalidMatrix, match="matrix: expected 4 entries, got 3"):
             replay_failure({"label": "jensen_upper", "slack": None, "inputs": cdj})
+
+    @pytest.mark.parametrize("record, message", [
+        ({"label": "jensen_upper", "slack": None, "inputs": {"kind": "cdj", "dim": 2}},
+         "no 'matrix'"),
+        ({"inputs": {}}, "no 'label'"),
+        ({"label": "jensen_upper"}, "no 'inputs'"),
+        ({"label": "jensen_upper", "inputs": "cdj"}, "'inputs' has the wrong type"),
+        ("jensen_upper", "must be a JSON object"),
+        ({"label": 3, "inputs": {}}, "'label' has the wrong type"),
+        ({"label": "jensen_upper", "inputs": {**CDJ_INPUTS, "kind": None}}, "'kind' has the wrong type"),
+        ({"label": "jensen_upper", "inputs": {"dim": 2}}, "no 'kind'"),
+        ({"label": "power_chain[r=2]", "inputs": dict(CDJ_INPUTS, kind="power_chain")}, "no 'r'"),
+        ({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, m="abc")}, "'m' has the wrong type"),
+        ({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, M=None)}, "'M' has the wrong type"),
+        ({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, function=3)},
+         "'function' has the wrong type"),
+        ({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, map="corner")},
+         "'map' has the wrong type"),
+        ({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, map={"tag": "corner"})},
+         "no 'out_dim'"),
+        ({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, dim=2.0)}, "'dim' has the wrong type"),
+        ({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, matrix=None)},
+         "'matrix' has the wrong type"),
+        ({"label": "von_neumann_floor", "inputs": {"kind": "floor", "dim": 2}}, "no 'rho'"),
+        ({"label": "von_neumann_floor", "inputs": {"kind": "floor", "dim": 2, "rho": RHO}},
+         "no 'p'"),
+        ({"label": "tsallis_trace_lower", "inputs": {"kind": "trace_bounds", "dim": 2, "rho": RHO,
+                                                     "sigma": RHO, "p": 0.5}}, "no 'm'"),
+        ({"label": "perspective_lower", "inputs": {"kind": "pair", "dim": 2, "A": RHO, "B": RHO,
+                                                   "map": {"tag": "trace"}, "p": 0.5}},
+         "no 'function'"),
+    ])
+    def test_replay_names_a_missing_or_ill_typed_field(self, record, message):
+        with pytest.raises(BadParameter, match=message):
+            replay_failure(record)
+
+    def test_replay_passes_errors_of_the_bounds_through(self):
+        assert replay_failure({"label": "jensen_upper", "inputs": CDJ_INPUTS}) >= 0.0
+        with pytest.raises(SpectrumNotEnclosed):
+            replay_failure({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, m=1.5)})
+        pinching = {"tag": "pinching", "blocks": [[0]]}
+        with pytest.raises(BadParameter, match="blocks must partition"):
+            replay_failure({"label": "jensen_upper", "inputs": dict(CDJ_INPUTS, map=pinching)})
+
+    @pytest.mark.parametrize("info, message", [
+        ({"tag": "corner"}, "no 'out_dim'"),
+        ({"tag": "corner", "out_dim": 2.5}, "'out_dim' has the wrong type"),
+        ({"tag": "corner", "out_dim": True}, "'out_dim' has the wrong type"),
+        ({"tag": "pinching", "blocks": [["a"], [1]]}, "bad 'blocks'"),
+        ({"tag": "pinching", "blocks": [0, 1, 2]}, "bad 'blocks'"),
+        ({"tag": "pinching"}, "no 'blocks'"),
+        ({"tag": "vecstate", "vector": ["a", 1.0, 0.0]}, "bad 'vector'"),
+        ({"tag": "vecstate", "vector": 1.0}, "'vector' has the wrong type"),
+        ({"tag": "mixture", "weights": [1.0]}, "no 'factors'"),
+        ({"tag": "mixture", "weights": ["x"], "factors": [np.eye(3).tolist()]}, "bad 'weights'"),
+        ({"tag": "mixture", "weights": [1.0], "factors": [[[1.0, 0.0], [0.0]]]}, "bad 'factors'"),
+        ({}, "no 'tag'"),
+        ({"tag": 3}, "'tag' has the wrong type"),
+        ("corner", "must be a JSON object"),
+    ])
+    def test_map_from_info_names_a_missing_or_ill_typed_field(self, info, message):
+        with pytest.raises(BadParameter, match=message):
+            map_from_info(info, 3)
 
     def test_third_term_statistics_recorded(self):
         report = run_campaign(TrialSpec(seed=9, trials=10))

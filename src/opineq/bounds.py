@@ -51,7 +51,6 @@ from .spectral import (
     _loewner_tolerance,
     _loewner_verdict,
     apply_scalar_function,
-    eigendecompose,
     strict_positivity_tolerance,
 )
 
@@ -251,17 +250,13 @@ class CdjContext:
         return self._psd[which]
 
 
-def _interval_for(matrix: SymmetricMatrix, m, M, *, positive=False):
-    dec = eigendecompose(matrix)
-    lo = float(dec.eigenvalues[0])
-    hi = float(dec.eigenvalues[-1])
+def _interval_for(matrix: SymmetricMatrix, m, M):
+    lo, hi = matrix.min_eigenvalue(), matrix.max_eigenvalue()
     m, M = _interval_or_hull(lo, hi, m, M)
     tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
     _check_hull(lo, hi, m, M, tol, SpectrumNotEnclosed, "spectrum")
     if m == M:
         raise DegenerateInterval("m == M: the operator is a scalar; chord undefined")
-    if positive:
-        _check_positive_interval(m, M)
     return m, M
 
 
@@ -280,13 +275,10 @@ def build_context(
     m, M = _interval_for(matrix, m, M)
     bounds = second_derivative_range(fn, m, M)
     phi_A = phi.apply(matrix)
-    dec = eigendecompose(phi_A)
     tol = 1e-12 * (1.0 + max(abs(m), abs(M)))
     # a unital positive map keeps Phi(A) inside [m, M]
-    _check_hull(
-        float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]), m, M, tol,
-        SpectrumNotEnclosed, "spectrum of Phi(A)",
-    )
+    lo, hi = phi_A.min_eigenvalue(), phi_A.max_eigenvalue()
+    _check_hull(lo, hi, m, M, tol, SpectrumNotEnclosed, "spectrum of Phi(A)")
     phi_A2 = phi.apply(matrix.squared())
     phi_A_sq = phi_A.squared()
     identity = SymmetricMatrix.identity(phi_A.dim)
@@ -448,8 +440,18 @@ def power_function_chain(
         correction enters with coefficient -r(1-r)/(2 M^{2-r}), the maximal
         second derivative on the interval.
     """
-    m, M = _interval_for(matrix, m, M, positive=True)
-    return _power_chain(build_context(matrix, phi, catalog_lookup("power", [r]), m, M), r)
+    return _power_chain(_power_context(matrix, phi, r, m, M), r)
+
+
+def _power_context(matrix: SymmetricMatrix, phi: PositiveUnitalMap, r: float, m, M) -> CdjContext:
+    """``build_context`` for t^r, once [m, M] is checked to satisfy 0 < m < M < inf.
+
+    The positivity check runs first, so an infinite M is a ``BadParameter``
+    rather than a failure of the second-derivative range.
+    """
+    m, M = _interval_for(matrix, m, M)
+    _check_positive_interval(m, M)
+    return build_context(matrix, phi, catalog_lookup("power", [r]), m, M)
 
 
 def _power_chain(ctx: CdjContext, r: float) -> ChainReport:
@@ -496,8 +498,7 @@ def improved_kantorovich(
 ) -> ImprovedKantorovich:
     if matrix.min_eigenvalue() <= strict_positivity_tolerance(matrix):
         raise NotPositiveDefinite("the operator must be strictly positive")
-    m, M = _interval_for(matrix, m, M, positive=True)
-    return _improved_kantorovich(build_context(matrix, phi, catalog_lookup("power", [-1.0]), m, M))
+    return _improved_kantorovich(_power_context(matrix, phi, -1.0, m, M))
 
 
 def _improved_kantorovich(ctx: CdjContext) -> ImprovedKantorovich:

@@ -84,9 +84,7 @@ class OperatorPair:
             raise ShapeError(f"dimension mismatch: {first.dim} vs {second.dim}")
         root, inv_root = matrix_sqrt_inv_sqrt(first)
         inner = SymmetricMatrix(inv_root.entries @ second.entries @ inv_root.entries)
-        dec = eigendecompose(inner)
-        lo = float(dec.eigenvalues[0])
-        hi = float(dec.eigenvalues[-1])
+        lo, hi = inner.min_eigenvalue(), inner.max_eigenvalue()
         psd_tol = 1e-10 * (1.0 + max(abs(lo), abs(hi)))
         if lo < -psd_tol:
             raise NotPositiveDefinite(
@@ -178,6 +176,15 @@ def _tsallis_chord(pair: OperatorPair, p: float) -> SymmetricMatrix:
     return (-1.0 / (p * (M - m))) * (coeff_a * pair.A - coeff_b * pair.B)
 
 
+def _corrected_chord_claims(prefix: str, pair: OperatorPair, value, chord, low: float, high: float):
+    """chord - low corr <= value <= chord - high corr, with corr the sandwich correction."""
+    corr = sandwich_correction(pair)
+    return (
+        _claim(f"{prefix}_lower", chord - low * corr, value),
+        _claim(f"{prefix}_upper", value, chord - high * corr),
+    )
+
+
 def tsallis_entropy_bounds(pair: OperatorPair, p: float):
     """Two-sided bounds for the Tsallis relative operator entropy.
 
@@ -191,13 +198,9 @@ def tsallis_entropy_bounds(pair: OperatorPair, p: float):
     value = tsallis_relative_operator_entropy(pair, p)  # checks 0 < m
     m, M = pair.m, pair.M
     chord = _tsallis_chord(pair, p)
-    corr = sandwich_correction(pair)
     low_coeff = (1.0 - p) / (2.0 * M ** (2.0 - p))
     high_coeff = (1.0 - p) / (2.0 * m ** (2.0 - p))
-    return (
-        _claim("tsallis_operator_lower", chord - low_coeff * corr, value),
-        _claim("tsallis_operator_upper", value, chord - high_coeff * corr),
-    )
+    return _corrected_chord_claims("tsallis_operator", pair, value, chord, low_coeff, high_coeff)
 
 
 def relative_entropy_bounds(pair: OperatorPair):
@@ -212,10 +215,8 @@ def relative_entropy_bounds(pair: OperatorPair):
     chord = (1.0 / (M - m)) * (
         (pair.B - m * pair.A) * math.log(M) + (M * pair.A - pair.B) * math.log(m)
     )
-    corr = sandwich_correction(pair)
-    return (
-        _claim("relative_entropy_lower", chord - (1.0 / (2.0 * M**2)) * corr, value),
-        _claim("relative_entropy_upper", value, chord - (1.0 / (2.0 * m**2)) * corr),
+    return _corrected_chord_claims(
+        "relative_entropy", pair, value, chord, 1.0 / (2.0 * M**2), 1.0 / (2.0 * m**2)
     )
 
 
@@ -255,9 +256,7 @@ class DensityOperator:
             rho = SymmetricMatrix(rho)
         if abs(rho.trace - 1.0) > 1e-12:
             raise BadParameter(f"trace must be 1, got {rho.trace!r}")
-        dec = eigendecompose(rho)
-        lo = float(dec.eigenvalues[0])
-        hi = float(dec.eigenvalues[-1])
+        lo, hi = rho.min_eigenvalue(), rho.max_eigenvalue()
         if lo <= strict_positivity_tolerance(rho):
             raise NotPositiveDefinite(f"density operator must be strictly positive, min eig {lo:.6e}")
         # at unit trace, with every eigenvalue above that floor, none exceeds
@@ -437,6 +436,16 @@ class EntropyFloorCheck:
         return self.floor_check.holds and self.nonneg_check.holds
 
 
+def _floor_check(label: str, entropy: float, bound: float, tol_rel: float) -> EntropyFloorCheck:
+    """The claims entropy >= bound (``label``) and bound >= 0 (``label`` + ``_nonneg``)."""
+    return EntropyFloorCheck(
+        entropy=entropy,
+        bound=bound,
+        floor_check=_scalar_check(label, bound, entropy, tol_rel),
+        nonneg_check=_scalar_check(f"{label}_nonneg", 0.0, bound, tol_rel),
+    )
+
+
 def quantum_tsallis_lower_bound(rho: DensityOperator, p: float, tol_rel: float = 1e-10) -> EntropyFloorCheck:
     """Claimed floor for the quantum Tsallis entropy.
 
@@ -449,13 +458,7 @@ def quantum_tsallis_lower_bound(rho: DensityOperator, p: float, tol_rel: float =
     bound = (1.0 - p) * (M ** (p + 1.0) - m ** (p + 1.0)) * (1.0 - M) * (1.0 - m) / (
         2.0 * m ** (p + 1.0) * M ** (p + 1.0)
     )
-    entropy = quantum_tsallis_entropy(rho, p)
-    return EntropyFloorCheck(
-        entropy=entropy,
-        bound=bound,
-        floor_check=_scalar_check("quantum_tsallis_floor", bound, entropy, tol_rel),
-        nonneg_check=_scalar_check("quantum_tsallis_floor_nonneg", 0.0, bound, tol_rel),
-    )
+    return _floor_check("quantum_tsallis_floor", quantum_tsallis_entropy(rho, p), bound, tol_rel)
 
 
 def von_neumann_lower_bound(rho: DensityOperator, tol_rel: float = 1e-10) -> EntropyFloorCheck:
@@ -465,10 +468,4 @@ def von_neumann_lower_bound(rho: DensityOperator, tol_rel: float = 1e-10) -> Ent
     """
     m, M = rho.m, rho.M
     bound = (M - m) * (1.0 - M) * (1.0 - m) / (2.0 * m * M)
-    entropy = von_neumann_entropy(rho)
-    return EntropyFloorCheck(
-        entropy=entropy,
-        bound=bound,
-        floor_check=_scalar_check("von_neumann_floor", bound, entropy, tol_rel),
-        nonneg_check=_scalar_check("von_neumann_floor_nonneg", 0.0, bound, tol_rel),
-    )
+    return _floor_check("von_neumann_floor", von_neumann_entropy(rho), bound, tol_rel)

@@ -220,10 +220,13 @@ def _array_from_payload(payload: dict, source: str, axes: int) -> np.ndarray:
     """Array with ``axes`` axes of length n from ``{"dim": n, "data": [n**axes row-major reals]}``.
 
     Matrix files, vector files, fixtures and reproducer records all go
-    through here; ``source`` names the payload in errors.  A ``dim`` that is
-    not a positive integer, ``data`` that is not a flat list of reals and
-    non-finite entries raise ``InvalidMatrix``.
+    through here; ``source`` names the payload in errors.  A payload that is
+    not an object with both keys, a ``dim`` that is not a positive integer,
+    ``data`` that is not a flat list of reals and non-finite entries raise
+    ``InvalidMatrix``.
     """
+    if not (isinstance(payload, dict) and "dim" in payload and "data" in payload):
+        raise InvalidMatrix(f"{source}: must be an object with 'dim' and 'data'")
     dim = payload["dim"]
     data = payload["data"]
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
@@ -603,7 +606,12 @@ def loewner_compare(lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol: float | Non
 
 
 def _checked_tolerance(tol: float) -> float:
-    """``tol`` as a float; every tolerance a caller passes in is checked here."""
+    """``tol`` as a float; every tolerance a caller passes in is checked here.
+
+    Python and numpy ints and floats pass; any other value, bools included, raises ``BadParameter``.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise BadParameter(f"tolerance must be a real number, got {tol!r}")
     tol = float(tol)
     if not 0.0 <= tol < math.inf:  # NaN fails this too
         raise BadParameter(f"tolerance must be finite and nonnegative, got {tol!r}")

@@ -21,7 +21,7 @@ would give alone, so reports are byte-for-byte the same for any chunking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -139,14 +139,8 @@ class TrialSpec:
             _make_map(tag, lo, SplitMix64(0))
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dim_range": [self.dim_range[0], self.dim_range[1]],
-            "trials": self.trials,
-            "function_set": list(self.function_set),
-            "map_set": list(self.map_set),
-            "tolerance": self.tolerance,
-        }
+        """Every field in declaration order, sequences as lists (as JSON reads them back)."""
+        return {k: list(v) if isinstance(v, (tuple, list)) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -349,8 +343,7 @@ def _make_map(tag: str, dim: int, rng: SplitMix64):
     if tag == "corner":
         info["out_dim"] = max(1, dim - 1)
     elif tag == "vecstate":
-        vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
-        norm = float(np.linalg.norm(vec))
+        norm = 0.0
         while norm < 1e-3:
             vec = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)])
             norm = float(np.linalg.norm(vec))

@@ -230,6 +230,14 @@ class TestRatioSandwich:
         with pytest.raises(BadParameter):
             with_tolerance(jensen_upper_bound(cube_context()), tol)
 
+    @pytest.mark.parametrize("tol", [True, "x", None, [1e-8]],
+                             ids=["bool", "string", "none", "list"])
+    def test_retolerance_must_be_a_real_number(self, tol):
+        from opineq import with_tolerance
+
+        with pytest.raises(BadParameter, match="tolerance must be a real number"):
+            with_tolerance(jensen_upper_bound(cube_context()), tol)
+
 
 class TestRefinedChain:
     def test_square_chain(self):

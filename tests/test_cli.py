@@ -90,6 +90,30 @@ class TestCheckCommand:
         code = main(["check", "--matrix", path, "--map", "trace", "--function", "power:2"])
         assert code == 2
 
+    @pytest.mark.parametrize("payload", [[1, 2], None, {"data": [1]}, {"dim": 1}],
+                             ids=["list", "null", "no_dim", "no_data"])
+    @pytest.mark.parametrize("option", ["--matrix", "--map"])
+    def test_file_that_is_not_a_dim_data_object_exits_2(self, payload, option, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        good = write_matrix(tmp_path, "good.json", 2, [1.0, 0.3, 0.3, 2.0])
+        if option == "--matrix":
+            matrix, map_spec = str(bad), "trace"
+        else:
+            matrix, map_spec = good, f"vecstate:{bad}"
+        assert main(["check", "--matrix", matrix, "--map", map_spec, "--function", "power:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {bad}: must be an object with 'dim' and 'data'" in captured.err
+
+    def test_skipped_ratio_sandwich_is_noted(self, tmp_path, capsys):
+        # log is negative at 0.5, so the ratio sandwich's precondition f > 0 fails
+        path = write_matrix(tmp_path, "a.json", 2, [0.5, 0.0, 0.0, 2.0])
+        assert main(["check", "--matrix", path, "--map", "trace", "--function", "log"]) == 0
+        out = capsys.readouterr().out
+        assert "  note: ratio sandwich skipped: function is not positive on [m, M]" in out
+        assert "ratio_lower" not in out
+
     def test_unparseable_file_exits_2(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -207,6 +231,13 @@ class TestFuzzCommand:
         assert main(["fuzz"]) == 2
         assert specs == [TrialSpec()]
         assert "error: recorded" in capsys.readouterr().err
+
+    def test_report_goes_to_stdout_without_out(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        main(["fuzz", "--seed", "21", "--trials", "4", "--out", str(out)])
+        capsys.readouterr()
+        main(["fuzz", "--seed", "21", "--trials", "4"])
+        assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_zero_trials_exit_2(self, tmp_path):
         assert main(["fuzz", "--trials", "0", "--out", str(tmp_path / "r.json")]) == 2

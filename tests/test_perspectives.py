@@ -460,6 +460,10 @@ class TestTsallisRelativeQuantumEntropy:
             neg_trace = -tsallis_relative_operator_entropy(pair, p).trace
             assert d_p <= neg_trace + 1e-8 * (1.0 + abs(neg_trace))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError, match="dimension mismatch: 2 vs 3"):
+            tsallis_relative_quantum_entropy(density(0.4, 0.6), density(0.2, 0.3, 0.5), 0.5)
+
 
 class TestTsallisTraceBounds:
     def test_equal_states_bracket_zero(self):
@@ -527,6 +531,15 @@ class TestEntropyFloors:
         with pytest.raises(BadParameter):
             quantum_tsallis_lower_bound(rho, 0.5, tol_rel)
         with pytest.raises(BadParameter):
+            von_neumann_lower_bound(rho, tol_rel)
+
+    @pytest.mark.parametrize("tol_rel", [True, "x", None, [1e-10]],
+                             ids=["bool", "string", "none", "list"])
+    def test_tolerance_must_be_a_real_number(self, tol_rel):
+        rho = density(0.4, 0.6)
+        with pytest.raises(BadParameter, match="tolerance must be a real number"):
+            quantum_tsallis_lower_bound(rho, 0.5, tol_rel)
+        with pytest.raises(BadParameter, match="tolerance must be a real number"):
             von_neumann_lower_bound(rho, tol_rel)
 
     def test_tsallis_floor_reference(self):

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from opineq import (
     matrix_sqrt_inv_sqrt,
     natural_power,
     random_symmetric_with_spectrum,
+    spectral,
 )
 from opineq.spectral import _array_from_payload, _cyclic_jacobi
 
@@ -58,6 +61,11 @@ class TestSymmetricMatrix:
         assert np.allclose((a - b).entries, np.diag([0.0, 1.0]))
         assert np.allclose((2.0 * a).entries, np.diag([2.0, 4.0]))
         assert np.allclose(a.squared().entries, np.diag([1.0, 4.0]))
+
+    def test_only_a_1x1_matrix_is_a_scalar(self):
+        assert SymmetricMatrix([[2.5]]).as_scalar() == 2.5
+        with pytest.raises(ShapeError, match="matrix of dimension 2 is not a scalar"):
+            SymmetricMatrix.identity(2).as_scalar()
 
     def test_entries_read_only(self):
         a = SymmetricMatrix.identity(2)
@@ -180,11 +188,29 @@ def test_payload_of_wrong_length_is_rejected(axes):
     ({"dim": 1, "data": [math.nan]}, "entries must be finite"),
     ({"dim": 1, "data": [math.inf]}, "entries must be finite"),
     ({"dim": 1, "data": [10**400]}, "entries must be finite"),
+    ([1, 2], "must be an object with 'dim' and 'data'"),
+    (None, "must be an object with 'dim' and 'data'"),
+    ({"data": [1]}, "must be an object with 'dim' and 'data'"),
+    ({"dim": 1}, "must be an object with 'dim' and 'data'"),
 ], ids=["negative_dim", "zero_dim", "fractional_dim", "bool_dim", "string_dim", "string_data",
-        "string_entries", "nested_data", "bool_entries", "nan", "inf", "huge_int"])
+        "string_entries", "nested_data", "bool_entries", "nan", "inf", "huge_int", "list_payload",
+        "null_payload", "no_dim", "no_data"])
 def test_malformed_payload_is_an_invalid_matrix(payload, message, axes):
     with pytest.raises(InvalidMatrix, match=f"x.json: {message}"):
         _array_from_payload(payload, "x.json", axes)
+
+
+def test_extreme_eigenvalues_are_read_through_symmetric_matrix():
+    # outside spectral a spectral hull is min_eigenvalue() and max_eigenvalue(), never a subscript
+    found = []
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr == "eigenvalues" and ast.unparse(node.slice) in ("0", "-1"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_payload_gives_row_major_arrays():
@@ -385,6 +411,16 @@ class TestLoewnerCompare:
         with pytest.raises(BadParameter):
             loewner_compare(SymmetricMatrix.identity(2), SymmetricMatrix.identity(2), tol)
 
+    @pytest.mark.parametrize("tol", [True, "x", [1e-8]], ids=["bool", "string", "list"])
+    def test_tolerance_must_be_a_real_number(self, tol):
+        with pytest.raises(BadParameter, match="tolerance must be a real number"):
+            loewner_compare(SymmetricMatrix.identity(2), SymmetricMatrix.identity(2), tol)
+
+    @pytest.mark.parametrize("tol", [0, 1e-8, np.float32(1e-3), np.float64(1e-8), np.int64(1)])
+    def test_python_and_numpy_numbers_are_tolerances(self, tol):
+        verdict = loewner_compare(SymmetricMatrix.identity(2), SymmetricMatrix.identity(2), tol)
+        assert verdict.tolerance_used == float(tol)
+
     def test_symmetry_property(self):
         for i in range(200):
             rng = SplitMix64(derive_seed(55, i))
@@ -445,6 +481,10 @@ class TestNaturalPower:
     def test_requires_strictly_positive_base(self):
         with pytest.raises(NotPositiveDefinite):
             natural_power(SymmetricMatrix.diagonal([1.0, -1.0]), SymmetricMatrix.identity(2), 0.5)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ShapeError, match="dimension mismatch: 2 vs 3"):
+            natural_power(SymmetricMatrix.identity(2), SymmetricMatrix.identity(3), 0.5)
 
     def test_fractional_power_needs_psd_inner(self):
         base = SymmetricMatrix.identity(2)

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, and
-every private module-level name is used somewhere in the package."""
+every private name bound at module level or in a class body is used
+somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -43,16 +44,28 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    """Private (single leading underscore) names a module binds at its top level."""
+def _bound_names(body: list) -> list[str]:
+    """Names the statements of ``body`` bind by def, class or assignment."""
     names = []
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.extend(target.id for target in targets if isinstance(target, ast.Name))
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each private (single leading underscore) name a
+    module binds at its top level or in the body of one of its classes."""
+    found = [(name, name) for name in _bound_names(tree.body)]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{name}", name) for name in _bound_names(node.body)]
+    return [
+        (where, name) for where, name in found if name.startswith("_") and not name.startswith("__")
+    ]
 
 
 def test_no_unused_private_names():
@@ -60,11 +73,12 @@ def test_no_unused_private_names():
     used = set()
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        defined.update((f"{path.name}:{name}", name) for name in _private_definitions(tree))
+        defined.update((f"{path.name}:{where}", name) for where, name in _private_definitions(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert len(defined) >= 60
+    assert sum("." in where for where in defined) >= 12  # private class members are covered
     assert sorted(where for where, name in defined.items() if name not in used) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from opineq import (
     run_campaign,
     verifier,
 )
-from opineq.verifier import MAX_DIM, MAX_TRIALS
+from opineq.verifier import DEFAULT_FUNCTIONS, DEFAULT_MAPS, MAX_DIM, MAX_TRIALS
 
 # a valid cdj reproducer (the spectrum of the matrix is about [0.79, 2.21]) and a density matrix
 CDJ_INPUTS = {"kind": "cdj", "matrix": [2.0, 0.5, 0.5, 1.0], "dim": 2, "map": {"tag": "trace"},
@@ -102,6 +103,12 @@ class TestCampaign:
         for tolerance in (math.nan, math.inf):
             with pytest.raises(BadParameter):
                 TrialSpec(tolerance=tolerance).validate()
+
+    @pytest.mark.parametrize("tolerance", [True, "x", None, [1e-8]],
+                             ids=["bool", "string", "none", "list"])
+    def test_tolerance_must_be_a_real_number(self, tolerance):
+        with pytest.raises(BadParameter, match="tolerance must be a real number"):
+            TrialSpec(trials=1, dim_range=(2, 2), tolerance=tolerance).validate()
 
     def test_size_limits_admit_current_uses(self):
         TrialSpec().validate()
@@ -191,6 +198,21 @@ class TestCampaign:
         first = run_campaign(spec)
         second = run_campaign(spec)
         assert first.to_dict() == second.to_dict()
+
+    def test_spec_dict_writes_every_field(self):
+        # to_dict names no field, so a field added to TrialSpec reaches the report's spec
+        spec = TrialSpec()
+        assert list(spec.to_dict()) == [f.name for f in dataclasses.fields(TrialSpec)]
+        assert spec.to_dict() == {
+            "seed": 42, "dim_range": [2, 8], "trials": 200, "function_set": list(DEFAULT_FUNCTIONS),
+            "map_set": list(DEFAULT_MAPS), "tolerance": 1e-8,
+        }
+
+        @dataclasses.dataclass(frozen=True)
+        class Extended(TrialSpec):
+            profile: tuple = ("uniform",)
+
+        assert Extended().to_dict()["profile"] == ["uniform"]
 
     def test_coverage_of_registered_inequalities(self):
         report = run_campaign(TrialSpec(seed=5, trials=40))

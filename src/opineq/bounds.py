@@ -30,7 +30,6 @@ from .errors import (
     SpectrumNotEnclosed,
 )
 from .functions import (
-    IntervalBounds,
     K_constant,
     ScalarFunction,
     _check_positive_interval,
@@ -112,15 +111,8 @@ def _claim(label: str, lhs: SymmetricMatrix, rhs: SymmetricMatrix, tol=None) -> 
 
 
 def with_tolerance(report: InequalityReport, tol: float) -> InequalityReport:
-    """Re-judge an existing report at a caller-chosen tolerance.
-
-    A report already judged lends its extreme gaps, so its gap is not solved again.
-    """
-    again = replace(report, tolerance=_checked_tolerance(tol))
-    if "verdict" in vars(report):
-        gaps = (report.verdict.gap_min_eig, report.verdict.gap_max_eig)
-        object.__setattr__(again, "verdict", _loewner_verdict(gaps, again.tolerance))
-    return again
+    """The same comparison, judged at a caller-chosen tolerance."""
+    return replace(report, tolerance=_checked_tolerance(tol))
 
 
 def _judge(reports, *matrices) -> list:
@@ -183,34 +175,23 @@ class CdjContext:
     matrix: SymmetricMatrix
     phi: PositiveUnitalMap
     fn: ScalarFunction
-    bounds: IntervalBounds
+    m: float
+    M: float
+    alpha: float  # the range [alpha, beta] of f'' on [m, M]
+    beta: float
     phi_A: SymmetricMatrix
     phi_A2: SymmetricMatrix
     phi_A_sq: SymmetricMatrix
     phi_fA: SymmetricMatrix
     f_phi_A: SymmetricMatrix
+    # (M+m) Phi(A) - Mm - Phi(A^2); PSD because Phi((M-A)(A-m)) >= 0
+    correction_image: SymmetricMatrix
+    # (M+m) Phi(A) - Mm - Phi(A)^2 = (M - Phi(A))(Phi(A) - m); PSD
+    correction_point: SymmetricMatrix
     _identity: SymmetricMatrix = field(repr=False)
     _affine: SymmetricMatrix = field(repr=False)
-    _correction_image: SymmetricMatrix = field(repr=False)
-    _correction_point: SymmetricMatrix = field(repr=False)
     # "image"/"point" -> PSD verdict on that correction, judged on first use
     _psd: dict = field(repr=False, compare=False)
-
-    @property
-    def m(self) -> float:
-        return self.bounds.m
-
-    @property
-    def M(self) -> float:
-        return self.bounds.M
-
-    @property
-    def alpha(self) -> float:
-        return self.bounds.alpha
-
-    @property
-    def beta(self) -> float:
-        return self.bounds.beta
 
     @cached_property
     def _big_k(self) -> float:
@@ -222,10 +203,12 @@ class CdjContext:
 
         The function-dependent memo of K is not carried over: ``replace`` builds a new instance.
         """
+        bounds = second_derivative_range(fn, self.m, self.M)
         return replace(
             self,
             fn=fn,
-            bounds=second_derivative_range(fn, self.m, self.M),
+            alpha=bounds.alpha,
+            beta=bounds.beta,
             phi_fA=self.phi.apply(apply_scalar_function(self.matrix, fn)),
             f_phi_A=apply_scalar_function(self.phi_A, fn),
         )
@@ -234,18 +217,10 @@ class CdjContext:
         chord = chord_line(self.fn, self.m, self.M)
         return chord.slope * self.phi_A + chord.intercept * self._identity
 
-    def correction_image(self) -> SymmetricMatrix:
-        """(M+m) Phi(A) - Mm - Phi(A^2); PSD because Phi((M-A)(A-m)) >= 0."""
-        return self._correction_image
-
-    def correction_point(self) -> SymmetricMatrix:
-        """(M+m) Phi(A) - Mm - Phi(A)^2 = (M - Phi(A))(Phi(A) - m); PSD."""
-        return self._correction_point
-
     def _correction_psd(self, which: str) -> "InequalityReport":
         """The verdict that the ``which`` ("image" or "point") correction is PSD."""
         if which not in self._psd:
-            term = self._correction_image if which == "image" else self._correction_point
+            term = self.correction_image if which == "image" else self.correction_point
             self._psd[which] = _psd_prerequisite(f"{which}_correction_psd", term)
         return self._psd[which]
 
@@ -287,16 +262,19 @@ def build_context(
         matrix=matrix,
         phi=phi,
         fn=fn,
-        bounds=bounds,
+        m=bounds.m,
+        M=bounds.M,
+        alpha=bounds.alpha,
+        beta=bounds.beta,
         phi_A=phi_A,
         phi_A2=phi_A2,
         phi_A_sq=phi_A_sq,
         phi_fA=phi.apply(apply_scalar_function(matrix, fn)),
         f_phi_A=apply_scalar_function(phi_A, fn),
+        correction_image=affine - phi_A2,
+        correction_point=affine - phi_A_sq,
         _identity=identity,
         _affine=affine,
-        _correction_image=affine - phi_A2,
-        _correction_point=affine - phi_A_sq,
         _psd={},
     )
 
@@ -307,8 +285,8 @@ def chord_bounds(ctx: CdjContext):
     Reports are normalized so the claim is always lhs <= rhs.
     """
     chord = ctx.chord_at_phi_A()
-    g_img = ctx.correction_image()
-    g_pt = ctx.correction_point()
+    g_img = ctx.correction_image
+    g_pt = ctx.correction_point
     alpha, beta = ctx.alpha, ctx.beta
     return (
         _claim("chord_upper_image", ctx.phi_fA, chord - (alpha / 2.0) * g_img),
@@ -348,8 +326,8 @@ def _sandwich_terms(ctx: CdjContext, const: float, half: float):
     with c = k and h = beta/2 they bound it from above and below.
     """
     return (
-        (1.0 / const) * (ctx.phi_fA + half * ctx.correction_image()),
-        const * ctx.phi_fA - half * ctx.correction_point(),
+        (1.0 / const) * (ctx.phi_fA + half * ctx.correction_image),
+        const * ctx.phi_fA - half * ctx.correction_point,
     )
 
 
@@ -383,8 +361,7 @@ def ratio_sandwich_min(ctx: CdjContext):
 
 
 def _psd_prerequisite(label: str, term: SymmetricMatrix) -> InequalityReport:
-    zero = SymmetricMatrix(term.entries * 0.0)
-    return _claim(label, zero, term)
+    return _claim(label, 0.0 * term, term)
 
 
 def _sandwich_chain(
@@ -503,7 +480,7 @@ def improved_kantorovich(
 
 def _improved_kantorovich(ctx: CdjContext) -> ImprovedKantorovich:
     """``improved_kantorovich`` on a context whose function is t^{-1}."""
-    improvement = (1.0 / ctx.M**3) * ctx.correction_image()
+    improvement = (1.0 / ctx.M**3) * ctx.correction_image
     classical_rhs = ((ctx.M + ctx.m) ** 2 / (4.0 * ctx.M * ctx.m)) * ctx.f_phi_A
     improved_rhs = classical_rhs - improvement
     return ImprovedKantorovich(

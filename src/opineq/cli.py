@@ -49,7 +49,7 @@ def _format_float(value: float) -> str:
     return text
 
 
-def render_json(value, indent: int = 0) -> str:
+def render_json(value) -> str:
     """Deterministic JSON: sorted keys, 17-significant-digit floats."""
     if value is None:
         return "null"

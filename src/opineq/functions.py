@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -67,10 +67,6 @@ class ScalarFunction:
     deriv2: Callable
     domain: tuple[float, float]
     deriv2_shape: Deriv2Shape
-    params: tuple[float, ...] = field(default=())
-
-    def __call__(self, t):
-        return self.eval(t)
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ def _power_function(r: float) -> ScalarFunction:
     def evaluate(t, _r=r):
         return np.power(np.asarray(t, dtype=float), _r)
 
-    return ScalarFunction(f"power:{r:g}", evaluate, deriv2, domain, shape, (float(r),))
+    return ScalarFunction(f"power:{r:g}", evaluate, deriv2, domain, shape)
 
 
 def _validate_entropy_order(p: float) -> float:
@@ -165,7 +161,7 @@ def _tsallis_deformed_log(p: float) -> ScalarFunction:
         return (1.0 - _p) * np.power(np.asarray(t, dtype=float), _p - 2.0)
 
     shape = Deriv2Shape.CONSTANT if abs(p - 1.0) < _PARAM_TOL else Deriv2Shape.NONINCREASING
-    return ScalarFunction(f"tsallis_f:{p:g}", evaluate, deriv2, (0.0, math.inf), shape, (p,))
+    return ScalarFunction(f"tsallis_f:{p:g}", evaluate, deriv2, (0.0, math.inf), shape)
 
 
 def _tsallis_entropy_kernel(p: float) -> ScalarFunction:
@@ -182,7 +178,7 @@ def _tsallis_entropy_kernel(p: float) -> ScalarFunction:
         shape = Deriv2Shape.CONSTANT
     else:
         shape = Deriv2Shape.NONINCREASING
-    return ScalarFunction(f"tsallis_g:{p:g}", evaluate, deriv2, (0.0, math.inf), shape, (p,))
+    return ScalarFunction(f"tsallis_g:{p:g}", evaluate, deriv2, (0.0, math.inf), shape)
 
 
 def _log() -> ScalarFunction:
@@ -262,7 +258,7 @@ def _check_interval(fn: ScalarFunction, m: float, M: float) -> None:
         raise DomainViolation(f"[{m}, {M}] is not inside the domain {fn.domain} of {fn.name}")
 
 
-def _golden_max(fn: Callable, a: float, b: float, width: float):
+def _golden_max(fn: Callable, a: float, b: float, width: float) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = fn(c)
@@ -276,14 +272,11 @@ def _golden_max(fn: Callable, a: float, b: float, width: float):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = fn(d)
-    mid = 0.5 * (a + b)
-    fm = fn(mid)
-    best = max(((c, fc), (d, fd), (mid, fm)), key=lambda pair: pair[1])
-    return best
+    return max(fc, fd, fn(0.5 * (a + b)))
 
 
 def _refined_extremum(vector_fn: Callable, scalar_fn: Callable, lo: float, hi: float, *, maximize: bool):
-    """Grid scan plus golden-section refinement of the best brackets.
+    """The extremum from a grid scan plus golden-section refinement of the best brackets.
 
     4097 equispaced samples locate candidate brackets; the best three local
     extrema (plus the endpoints, which the grid hits exactly) are refined to
@@ -296,17 +289,14 @@ def _refined_extremum(vector_fn: Callable, scalar_fn: Callable, lo: float, hi: f
         (work[1:-1] >= work[:-2]) & (work[1:-1] >= work[2:])
     )[0] + 1
     ranked = interior[np.argsort(-work[interior], kind="stable")][:_REFINE_BRACKETS]
-    best_idx = int(np.argmax(work))
-    best_t, best_v = float(ts[best_idx]), float(work[best_idx])
+    best = float(work[np.argmax(work)])
     oriented = scalar_fn if maximize else (lambda t: -scalar_fn(t))
     width = 1e-12 * max(1.0, hi - lo)
     for idx in ranked:
         a = float(ts[max(idx - 1, 0)])
         b = float(ts[min(idx + 1, _GRID_POINTS - 1)])
-        t, v = _golden_max(oriented, a, b, width)
-        if v > best_v:
-            best_t, best_v = t, v
-    return best_t, (best_v if maximize else -best_v)
+        best = max(best, _golden_max(oriented, a, b, width))
+    return best if maximize else -best
 
 
 def second_derivative_range(fn: ScalarFunction, m: float, M: float) -> IntervalBounds:
@@ -326,8 +316,8 @@ def second_derivative_range(fn: ScalarFunction, m: float, M: float) -> IntervalB
     if shape in (Deriv2Shape.NONINCREASING, Deriv2Shape.CONSTANT):
         return IntervalBounds(float(m), float(M), float(fn.deriv2(M)), float(fn.deriv2(m)))
     scalar = lambda t: float(fn.deriv2(t))
-    _, alpha = _refined_extremum(fn.deriv2, scalar, m, M, maximize=False)
-    _, beta = _refined_extremum(fn.deriv2, scalar, m, M, maximize=True)
+    alpha = _refined_extremum(fn.deriv2, scalar, m, M, maximize=False)
+    beta = _refined_extremum(fn.deriv2, scalar, m, M, maximize=True)
     return IntervalBounds(float(m), float(M), alpha, beta)
 
 
@@ -351,8 +341,7 @@ def _ratio_extremum(fn: ScalarFunction, m: float, M: float, *, maximize: bool) -
     def scalar(t):
         return chord(t) / float(fn.eval(t))
 
-    _, value = _refined_extremum(vector, scalar, m, M, maximize=maximize)
-    return value
+    return _refined_extremum(vector, scalar, m, M, maximize=maximize)
 
 
 def K_constant(fn: ScalarFunction, m: float, M: float) -> float:
@@ -376,6 +365,8 @@ def kantorovich_power_constant(m: float, M: float, r: float) -> float:
     minimum (the function is concave there).
     """
     _check_positive_interval(m, M)
+    if not math.isfinite(r):
+        raise BadParameter(f"power r must be finite, got {r!r}")
     if abs(r) < _PARAM_TOL or abs(r - 1.0) < _PARAM_TOL:
         return 1.0
     numer = m * M**r - M * m**r

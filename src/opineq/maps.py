@@ -43,9 +43,6 @@ class PositiveUnitalMap:
     def apply(self, matrix: SymmetricMatrix) -> SymmetricMatrix:
         raise NotImplementedError
 
-    def __call__(self, matrix: SymmetricMatrix) -> SymmetricMatrix:
-        return self.apply(matrix)
-
     def _check_input(self, matrix: SymmetricMatrix) -> None:
         if matrix.dim != self.in_dim:
             raise ShapeError(
@@ -239,8 +236,8 @@ class MapVerification:
         return self.unitality_ok and self.positivity_ok
 
 
-def verify_map(phi: PositiveUnitalMap, trials: int, seed: int = 0) -> MapVerification:
-    """Check unitality exactly and positivity on random PSD inputs.
+def verify_map(phi: PositiveUnitalMap, trials: int) -> MapVerification:
+    """Check unitality exactly and positivity on random PSD inputs from a fixed stream.
 
     Failures are reported in the result, never raised.
     """
@@ -249,7 +246,7 @@ def verify_map(phi: PositiveUnitalMap, trials: int, seed: int = 0) -> MapVerific
     identity_in = SymmetricMatrix.identity(phi.in_dim)
     image = phi.apply(identity_in)
     unit_err = float(np.abs(image.entries - np.eye(phi.out_dim)).max())
-    rng = SplitMix64(seed)
+    rng = SplitMix64(0)
     worst = np.inf
     for _ in range(trials):
         g = np.array(

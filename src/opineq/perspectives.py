@@ -39,7 +39,6 @@ from .maps import PositiveUnitalMap
 from .spectral import (
     SymmetricMatrix,
     _check_hull,
-    _checked_tolerance,
     _conjugated_power,
     _interval_or_hull,
     apply_scalar_function,
@@ -331,7 +330,7 @@ class ScalarCheck:
 
 
 def _scalar_check(label: str, lhs: float, rhs: float, tol_rel: float = 1e-8) -> ScalarCheck:
-    tol = _checked_tolerance(tol_rel) * (1.0 + max(abs(lhs), abs(rhs)))
+    tol = tol_rel * (1.0 + max(abs(lhs), abs(rhs)))
     return ScalarCheck(label, float(lhs), float(rhs), tol)
 
 
@@ -436,17 +435,17 @@ class EntropyFloorCheck:
         return self.floor_check.holds and self.nonneg_check.holds
 
 
-def _floor_check(label: str, entropy: float, bound: float, tol_rel: float) -> EntropyFloorCheck:
+def _floor_check(label: str, entropy: float, bound: float) -> EntropyFloorCheck:
     """The claims entropy >= bound (``label``) and bound >= 0 (``label`` + ``_nonneg``)."""
     return EntropyFloorCheck(
         entropy=entropy,
         bound=bound,
-        floor_check=_scalar_check(label, bound, entropy, tol_rel),
-        nonneg_check=_scalar_check(f"{label}_nonneg", 0.0, bound, tol_rel),
+        floor_check=_scalar_check(label, bound, entropy, 1e-10),
+        nonneg_check=_scalar_check(f"{label}_nonneg", 0.0, bound, 1e-10),
     )
 
 
-def quantum_tsallis_lower_bound(rho: DensityOperator, p: float, tol_rel: float = 1e-10) -> EntropyFloorCheck:
+def quantum_tsallis_lower_bound(rho: DensityOperator, p: float) -> EntropyFloorCheck:
     """Claimed floor for the quantum Tsallis entropy.
 
         S_p(rho) >= (1-p)(M^{p+1} - m^{p+1})(1-M)(1-m) / (2 m^{p+1} M^{p+1}) >= 0
@@ -458,14 +457,14 @@ def quantum_tsallis_lower_bound(rho: DensityOperator, p: float, tol_rel: float =
     bound = (1.0 - p) * (M ** (p + 1.0) - m ** (p + 1.0)) * (1.0 - M) * (1.0 - m) / (
         2.0 * m ** (p + 1.0) * M ** (p + 1.0)
     )
-    return _floor_check("quantum_tsallis_floor", quantum_tsallis_entropy(rho, p), bound, tol_rel)
+    return _floor_check("quantum_tsallis_floor", quantum_tsallis_entropy(rho, p), bound)
 
 
-def von_neumann_lower_bound(rho: DensityOperator, tol_rel: float = 1e-10) -> EntropyFloorCheck:
+def von_neumann_lower_bound(rho: DensityOperator) -> EntropyFloorCheck:
     """Claimed floor for the von Neumann entropy (order -> 0 limit of the above).
 
         S(rho) >= (M - m)(1 - M)(1 - m) / (2 m M) >= 0
     """
     m, M = rho.m, rho.M
     bound = (M - m) * (1.0 - M) * (1.0 - m) / (2.0 * m * M)
-    return _floor_check("von_neumann_floor", von_neumann_entropy(rho), bound, tol_rel)
+    return _floor_check("von_neumann_floor", von_neumann_entropy(rho), bound)

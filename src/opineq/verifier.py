@@ -129,8 +129,14 @@ class TrialSpec:
             )
         if _checked_tolerance(self.tolerance) == 0.0:
             raise BadParameter("tolerance must be positive")
+        # the report renders the spec, and its JSON holds no numpy scalar
+        if not isinstance(self.tolerance, (int, float)):
+            raise BadParameter(f"tolerance must be an int or a float, got {self.tolerance!r}")
         if not self.function_set or not self.map_set:
             raise BadParameter("function and map sets must be nonempty")
+        for name in (*self.function_set, *self.map_set):
+            if not isinstance(name, str):
+                raise BadParameter(f"function and map names must be strings, got {name!r}")
         # a typo fails here, not partway through the campaign; SplitMix64(0)
         # is a stream of its own, so the trials' draws stay as they are
         for fn_spec in self.function_set:

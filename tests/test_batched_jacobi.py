@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opineq import LoewnerRelation, SymmetricMatrix, loewner_compare, spectral, with_tolerance
+from opineq import LoewnerRelation, SymmetricMatrix, loewner_compare, spectral
 from opineq.bounds import _claim, _judge
 from opineq.spectral import (
     _BATCH_MIN,
@@ -201,15 +201,6 @@ def test_batched_verdicts_equal_loewner_compare():
     lazy = [_claim("lazy", lhs, rhs) for lhs, rhs in pairs]
     assert [r.verdict for r in lazy] == [r.verdict for r in reports]
     assert {r.verdict.relation for r in reports} >= {LoewnerRelation.INCOMPARABLE}
-
-
-def test_with_tolerance_reuses_the_judged_gaps(monkeypatch):
-    lhs, rhs = _reports()[2]
-    expected = loewner_compare(lhs, rhs, 1e-3)
-    report = _claim("r", lhs, rhs)
-    report.verdict
-    monkeypatch.setattr(spectral, "_cyclic_jacobi", None)  # any further solve fails
-    assert with_tolerance(report, 1e-3).verdict == expected
 
 
 def test_solve_many_is_the_only_caller_of_the_kernels():

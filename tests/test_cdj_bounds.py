@@ -268,9 +268,9 @@ class TestRefinedChain:
             matrix = random_symmetric_with_spectrum(rng.next_u64(), dim, m, M)
             phi, _ = _make_map(["corner", "trace", "pinching", "vecstate"][i % 4], dim, rng)
             ctx = build_context(matrix, phi, catalog_lookup("power", [2]), m, M)
-            scale = 1.0 + ctx.correction_image().norm_max
-            assert ctx.correction_image().min_eigenvalue() >= -1e-8 * scale
-            assert ctx.correction_point().min_eigenvalue() >= -1e-8 * scale
+            scale = 1.0 + ctx.correction_image.norm_max
+            assert ctx.correction_image.min_eigenvalue() >= -1e-8 * scale
+            assert ctx.correction_point.min_eigenvalue() >= -1e-8 * scale
 
 
 class TestPowerFunctionChain:

@@ -30,6 +30,11 @@ class TestJsonRendering:
         assert render_json(2.0) == "2.0"
         assert isinstance(json.loads(render_json(2.0)), float)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_floats_are_refused(self, value):
+        with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+            render_json({"x": [value]})
+
     def test_sorted_keys(self):
         assert render_json({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 

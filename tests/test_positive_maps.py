@@ -78,6 +78,19 @@ class TestApply:
         with pytest.raises(BadParameter):
             CongruenceMixture([(-0.5, np.eye(2)), (1.5, np.eye(2))])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Compression([1.0, 0.0]), "isometry data must be a 2-d array"),
+        (lambda: VectorState([]), "state vector must be nonempty"),
+        (lambda: NormalizedTrace(0), "dimension must be at least 1"),
+        (lambda: CongruenceMixture([(1.0, np.ones((2, 3)))]), "must be square"),
+        (lambda: CongruenceMixture([(0.5, np.eye(2)), (0.5, np.eye(3))]), "share one dimension"),
+        (lambda: CongruenceMixture([]), "at least one term"),
+    ], ids=["flat_isometry", "empty_state", "zero_trace_dim", "non_square_factor",
+            "two_factor_sizes", "empty_mixture"])
+    def test_constructors_reject_malformed_data(self, build, message):
+        with pytest.raises(BadParameter, match=message):
+            build()
+
 
 class TestProperties:
     def test_unitality_all_variants(self):

@@ -110,7 +110,7 @@ class TestCatalog:
     ])
     def test_parameter_count_rule(self, name, count):
         params = [0.5] * count
-        assert catalog_lookup(name, params).params == tuple(params)
+        assert catalog_lookup(name, params).name == (f"{name}:0.5" if count else name)
         for wrong in (count - 1, count + 1):
             if wrong >= 0:
                 with pytest.raises(BadParameter, match=f"{name} takes {count} parameter"):
@@ -310,6 +310,12 @@ class TestKantorovichPowerConstant:
         # an infinite M used to give NaN
         with pytest.raises(BadParameter):
             kantorovich_power_constant(1.0, math.inf, 2.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_exponent(self, r):
+        # a direct call used to return NaN; catalog_lookup guards power_function_chain
+        with pytest.raises(BadParameter, match="r must be finite"):
+            kantorovich_power_constant(1.0, 2.0, r)
 
     def test_oracle_equivalence_convex_powers(self):
         rng = SplitMix64(derive_seed(901, 0))

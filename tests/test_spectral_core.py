@@ -62,6 +62,17 @@ class TestSymmetricMatrix:
         assert np.allclose((2.0 * a).entries, np.diag([2.0, 4.0]))
         assert np.allclose(a.squared().entries, np.diag([1.0, 4.0]))
 
+    @pytest.mark.parametrize("operation", [
+        lambda a: a + 1, lambda a: a - "x", lambda a: a * a,
+    ], ids=["plus_int", "minus_str", "matrix_times_matrix"])
+    def test_arithmetic_with_other_types_is_a_type_error(self, operation):
+        with pytest.raises(TypeError):
+            operation(SymmetricMatrix.identity(2))
+
+    def test_sum_of_two_sizes_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="dimension mismatch: 2 vs 3"):
+            SymmetricMatrix.identity(2) + SymmetricMatrix.identity(3)
+
     def test_only_a_1x1_matrix_is_a_scalar(self):
         assert SymmetricMatrix([[2.5]]).as_scalar() == 2.5
         with pytest.raises(ShapeError, match="matrix of dimension 2 is not a scalar"):
@@ -339,6 +350,12 @@ class TestApplyScalarFunction:
         with pytest.raises(DomainViolation, match="-0.5"):
             apply_scalar_function(a, catalog_lookup("log"))
 
+    def test_overflowing_values_are_a_domain_violation(self):
+        a = SymmetricMatrix.diagonal([2.0, 800.0])
+        message = "exp is not finite on the spectrum"
+        with np.errstate(over="ignore"), pytest.raises(DomainViolation, match=message):
+            apply_scalar_function(a, catalog_lookup("exp"))
+
     def test_commutes_with_input(self):
         matrix = random_symmetric_with_spectrum(5, 5, 0.5, 2.0)
         image = apply_scalar_function(matrix, catalog_lookup("exp"))
@@ -491,6 +508,15 @@ class TestNaturalPower:
         other = SymmetricMatrix.diagonal([1.0, -0.5])
         with pytest.raises(DomainViolation):
             natural_power(base, other, 0.5)
+
+    @pytest.mark.parametrize("exponent, message", [
+        (-1.0, "negative power of a singular matrix"),
+        (-0.5, "negative fractional power of a singular matrix"),
+    ])
+    def test_negative_power_needs_nonsingular_inner(self, exponent, message):
+        other = SymmetricMatrix.diagonal([0.0, 1.0])
+        with pytest.raises(DomainViolation, match=message):
+            natural_power(SymmetricMatrix.identity(2), other, exponent)
 
     def test_clamp_warning_on_tiny_negative(self):
         base = SymmetricMatrix.identity(2)

@@ -63,6 +63,8 @@ class TestGenerators:
             random_symmetric_with_spectrum(1, 1, 0.0, 1.0)
         with pytest.raises(BadParameter):
             random_symmetric_with_spectrum(1, 3, 2.0, 1.0)
+        with pytest.raises(BadParameter, match="dimension must be at least 2"):
+            random_density(1, 1)
 
     def test_density_trace_and_floor(self):
         for i in range(50):
@@ -114,6 +116,7 @@ class TestCampaign:
         TrialSpec().validate()
         TrialSpec(dim_range=(12, 16), trials=1).validate()
         TrialSpec(dim_range=(32, 32), trials=MAX_TRIALS).validate()
+        TrialSpec(tolerance=np.float64(1e-8)).validate()  # a float subclass renders as a float
 
     @pytest.mark.parametrize(
         "spec",
@@ -154,8 +157,16 @@ class TestCampaign:
         ({"dim_range": 3}, "must be a pair"),
         ({"function_set": "power:3"}, "not a string"),
         ({"map_set": "corner"}, "not a string"),
+        ({"function_set": ()}, "must be nonempty"),
+        ({"tolerance": np.float32(1e-3)}, "tolerance must be an int or a float"),
+        ({"tolerance": np.int64(1)}, "tolerance must be an int or a float"),
+        ({"function_set": (3,)}, "names must be strings, got 3"),
+        ({"function_set": (b"log",)}, "names must be strings"),
+        ({"map_set": ("corner", None)}, "names must be strings, got None"),
     ], ids=["float_seed", "bool_seed", "float_trials", "bool_trials", "float_dim", "triple_dims",
-            "scalar_dims", "string_function_set", "string_map_set"])
+            "scalar_dims", "string_function_set", "string_map_set", "empty_function_set",
+            "numpy_float_tolerance", "numpy_int_tolerance", "int_function", "bytes_function",
+            "none_map"])
     def test_rejects_ill_typed_specs(self, fields, message, monkeypatch):
         monkeypatch.setattr(verifier, "_draw_trial", None)  # no trial may be drawn
         spec = TrialSpec(**{"trials": 1, **fields})

@@ -1,28 +1,32 @@
 """Dense real symmetric matrices with a deterministic spectral calculus.
 
 Every bound in this package reduces to eigendecompositions of small real
-symmetric matrices.  The eigensolver is a cyclic Jacobi iteration with a
-fixed row-major sweep order, so its output is a pure function of the input
-across runs and platforms; the seeded fuzz harness relies on that.
+symmetric matrices.  The eigensolver is a Jacobi iteration with one fixed
+sweep order for each matrix size, so its output is a pure function of the
+input across runs and platforms; the seeded fuzz harness relies on that.
 
-There are two kernels.  ``_cyclic_jacobi``, the list kernel, solves one
-matrix on rows of Python floats, with or without eigenvectors; with them,
-each row carries the matching row of Q^T, rotated in the same step.
-``_jacobi_batch`` solves a stack of same-size matrices, with or without
-eigenvectors, one numpy step per rotation for the whole stack, and gives
-each matrix the list kernel's bits: eigenvalues and, with eigenvectors,
-Q^T rows rotated by each matrix's own (c, s), the same zero-pivot skips and
-the same stable ordering.  ``_solve_many`` picks between them by the number
-of distinct same-size matrices.  Every eigenvalues-only solve goes through
+Below size 12 the order is cyclic, row by row, and there are two kernels.
+``_cyclic_jacobi``, the list kernel, solves one matrix on rows of Python
+floats, with or without eigenvectors; with them, each row carries the
+matching row of Q^T, rotated in the same step.  ``_jacobi_batch`` solves a
+stack of same-size matrices, with or without eigenvectors, one numpy step
+per rotation for the whole stack, and gives each matrix the list kernel's
+bits: eigenvalues and, with eigenvectors, Q^T rows rotated by each matrix's
+own (c, s), the same zero-pivot skips and the same stable ordering.  From
+size 12 (``_ROUND_ROBIN_MIN``) the order is round-robin:
+``_jacobi_round_robin`` rotates n / 2 disjoint pairs in one numpy step, on
+one matrix or on a stack, so a sweep is n - 1 steps.  ``_solve_many``
+picks the kernel by size and, below 12, by the number of distinct
+same-size matrices.  Every eigenvalues-only solve goes through
 it (``_eigenvalues_many``): each Loewner comparison, alone or judged
 together with others (a campaign chunk's, say).  ``_decompose_many`` fills
 the decomposition caches of many matrices through it (a campaign chunk's
 drawn inputs), and ``eigendecompose`` fills one matrix's cache through
 it on a cache miss.  So ``_solve_many`` is the kernels' only caller.
 
-Both kernels write each new row into the matching column, so they rely on
-their input being bitwise symmetric: entry (i, j) and entry (j, i) are the
-same float.  ``SymmetricMatrix.__init__`` guarantees this: it keeps
+The two cyclic kernels write each new row into the matching column, so
+they rely on their input being bitwise symmetric: entry (i, j) and entry
+(j, i) are the same float.  ``SymmetricMatrix.__init__`` guarantees this: it keeps
 bitwise-symmetric input as it is and averages any other input with its
 transpose.  Every public way in (arrays, files, fixtures, reproducer
 records) goes through it, and so do the results of matrix products
@@ -40,7 +44,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -371,6 +375,47 @@ def _cyclic_jacobi(a: np.ndarray, vectors: bool = True):
     return lam, np.array([row[n:] for row in rows])[order].T
 
 
+def _prescale(stack: np.ndarray):
+    """The power-of-two prescale and stopping threshold of each matrix of a stack.
+
+    These are ``_cyclic_jacobi``'s bits: np.frexp and np.ldexp give
+    math.frexp's and math.ldexp's, and np.linalg.norm, which sums in its own
+    order, runs on each scaled matrix alone.
+    """
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(stack).max(axis=(1, 2)))[1], 1023))
+    threshold = np.array([_OFFDIAG_REL * float(np.linalg.norm(a * s)) for a, s in zip(stack, scale)])
+    return scale, threshold
+
+
+def _off_norms(block: np.ndarray, strictly_upper: np.ndarray) -> np.ndarray:
+    """sqrt(2 * np.sum(np.triu(a, 1) ** 2)) of each matrix a of an ``(n, n, live)`` block.
+
+    Each matrix sums the same n * n values (a square times 1.0 or 0.0) in the
+    same order, alone or among others.
+    """
+    squares = block.transpose(2, 0, 1).copy()
+    np.multiply(squares, squares, out=squares)
+    squares *= strictly_upper
+    return np.sqrt(2.0 * squares.reshape(len(squares), -1).sum(axis=1))
+
+
+def _tangents(apr: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """The tangent of each rotation angle, by ``_cyclic_jacobi``'s formulas.
+
+    Both branches are computed, the first-order tangent included: the one
+    discarded may divide by a zero pivot or overflow, so the callers ignore
+    numpy's warnings.
+    """
+    tau = diff / (2.0 * apr)
+    t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    # -t where tau < 0; adding 0.0 turns tau = -0.0 into +0.0, which keeps t
+    t = np.copysign(t, tau + 0.0)
+    first_order = np.abs(apr) < 1e-36 * np.abs(diff)
+    if first_order.any():  # angle underflows; first-order tangent
+        t = np.where(first_order, apr / diff, t)
+    return t
+
+
 def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
     """Eigenvalues (ascending, ``(k, n)``) and, if ``vectors``, eigenvector
     columns (``(k, n, n)``, else ``None``) of each matrix of a ``(k, n, n)`` stack.
@@ -390,10 +435,7 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
     k, n, _ = stack.shape
     if n == 1:
         return stack[:, 0, :].copy(), (np.ones((k, 1, 1)) if vectors else None)
-    # as in _cyclic_jacobi; np.frexp and np.ldexp give math.frexp's and math.ldexp's bits
-    scale = np.ldexp(1.0, np.minimum(-np.frexp(np.abs(stack).max(axis=(1, 2)))[1], 1023))
-    # np.linalg.norm sums in its own order, so it runs on each scaled matrix alone
-    threshold = np.array([_OFFDIAG_REL * float(np.linalg.norm(a * s)) for a, s in zip(stack, scale)])
+    scale, threshold = _prescale(stack)
     # work[i, j] holds entry (i, j) of every live matrix, so a row is an (n, live)
     # block; with vectors, row i continues with row i of each matrix's Q^T
     work = np.empty((n, 2 * n if vectors else n, k))
@@ -407,17 +449,9 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
     values = np.empty((k, n))
     qt = np.empty((k, n, n)) if vectors else None  # Q^T of each matrix, rows in eigenvalue order
     pairs = [(p, r) for p in range(n - 1) for r in range(p + 1, n)]
-    # every matrix computes both branches of the tangent: the one it discards
-    # may divide by a zero pivot or overflow, and those warnings mean nothing
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # see _tangents
         for _ in range(_SWEEP_CAP):
-            # np.sum(np.triu(a, 1) ** 2) of each matrix: the same n * n values
-            # (a square times 1.0 or 0.0), summed in the same order
-            squares = work[:, :n].transpose(2, 0, 1).copy()
-            np.multiply(squares, squares, out=squares)
-            squares *= strictly_upper
-            off = np.sqrt(2.0 * squares.reshape(live.size, n * n).sum(axis=1))
-            done = off <= threshold
+            done = _off_norms(work[:, :n], strictly_upper) <= threshold
             if done.any():
                 finished = live[done]
                 diag = work[diagonal, diagonal][:, done].T
@@ -439,14 +473,7 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
                 row_p = work[p]
                 row_r = work[r]
                 apr = row_p[r]
-                diff = row_r[r] - row_p[p]
-                tau = diff / (2.0 * apr)
-                t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                # -t where tau < 0; adding 0.0 turns tau = -0.0 into +0.0, which keeps t
-                t = np.copysign(t, tau + 0.0)
-                first_order = np.abs(apr) < 1e-36 * np.abs(diff)
-                if first_order.any():  # angle underflows; first-order tangent
-                    t = np.where(first_order, apr / diff, t)
+                t = _tangents(apr, row_r[r] - row_p[p])
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 new_p = c * row_p - s * row_r
@@ -467,6 +494,108 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
     raise ConvergenceError("Jacobi sweep cap reached without convergence")
 
 
+@cache
+def _round_robin_steps(m: int) -> tuple:
+    """The m - 1 steps of a round-robin sweep over an even number m of indices.
+
+    Step j pairs every index with another (the circle method: m - 1 stays, the
+    rest turn), so each pair meets once per sweep.  Row j of each array is
+    step j: the flat indices, in an m x m matrix, of the entries (p, r), then
+    (r, p), (r, r) and (p, p) of its m / 2 pairs p < r, then, for each index,
+    its partner, the number of its pair and its sign (-1.0 for the p of its
+    pair, 1.0 for the r), about 8 KB in all at m = 16.
+    """
+    h = m // 2
+    pivots = np.empty((m - 1, 4 * h), dtype=np.intp)
+    partner = np.empty((m - 1, m), dtype=np.intp)
+    pair = np.empty((m - 1, m), dtype=np.intp)
+    sign = np.ones((m - 1, m, 1))
+    for j in range(m - 1):
+        pairs = [(j, m - 1)] + [((j + i) % (m - 1), (j - i) % (m - 1)) for i in range(1, h)]
+        p, r = np.sort(np.array(pairs), axis=1).T
+        pivots[j] = np.concatenate([p * m + r, r * m + p, r * m + r, p * m + p])
+        partner[j, p], partner[j, r] = r, p
+        pair[j, p] = pair[j, r] = np.arange(h)
+        sign[j, p] = -1.0
+    return pivots, partner, pair, sign
+
+
+def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
+    """Eigenvalues (ascending, ``(k, n)``) and, if ``vectors``, eigenvector
+    columns (``(k, n, n)``, else ``None``) of each matrix of a ``(k, n, n)`` stack,
+    by Jacobi in round-robin order (A. H. Sameh, Math. Comp. 25, 1971;
+    R. P. Brent and F. T. Luk, SIAM J. Sci. Stat. Comput. 6, 1985).
+
+    Odd n gets a zero last row and column, so the size m is even; its pivots
+    are zero, so no rotation touches it.  A sweep is m - 1 steps, and one step
+    rotates m / 2 disjoint pairs of every matrix at once: it computes each
+    pair's (c, s), then rotates the rows, then the columns, and sets the two
+    pivots to zero.  Each matrix keeps the cyclic kernels' power-of-two
+    prescale and threshold, rotation formulas (the first-order tangent
+    included), zero-pivot skips (t = 0), stopping test and stable ordering,
+    and leaves the stack when its own stopping test passes.  Every step is
+    elementwise numpy, with no matrix product whose rounding could differ
+    between platforms, and the stopping test sums each matrix's squares in
+    one fixed layout, so a matrix's bits never depend on the other matrices.
+    With ``vectors``, rows m.. of the work stack hold Q, whose columns the
+    column update rotates with the matrix's, so the eigenvalues are the same
+    bits either way.  The bits differ from the cyclic kernels'.  ``stack`` is
+    not modified.
+    """
+    k, n, _ = stack.shape
+    m = n + n % 2
+    h = m // 2
+    scale, threshold = _prescale(stack)
+    # work[i, j] holds entry (i, j) of every live matrix; with vectors, work[m + i, j]
+    # holds entry (i, j) of its Q
+    work = np.zeros((2 * m if vectors else m, m, k))
+    work[:n, :n] = stack.transpose(1, 2, 0)
+    work[:n, :n] *= scale
+    if vectors:
+        work[m:] = np.eye(m)[:, :, None]
+    live = np.arange(k)  # the input index of each live matrix
+    diagonal = np.arange(n)
+    strictly_upper = np.triu(np.ones((m, m)), 1)
+    values = np.empty((k, n))
+    q = np.empty((k, n, n)) if vectors else None
+    steps = _round_robin_steps(m)
+    with np.errstate(all="ignore"):  # see _tangents
+        for _ in range(_SWEEP_CAP):
+            done = _off_norms(work[:m], strictly_upper) <= threshold
+            if done.any():
+                finished = live[done]
+                diag = work[diagonal, diagonal][:, done].T
+                order = np.argsort(diag, axis=1, kind="stable")
+                each = np.arange(finished.size)[:, None]
+                values[finished] = diag[each, order] / scale[finished][:, None]
+                if vectors:  # the rows of Q^T, that is the columns of Q, in eigenvalue order
+                    qt = work[m:m + n, :n][:, :, done].transpose(2, 1, 0)
+                    q[finished] = qt[each, order].transpose(0, 2, 1)
+                keep = ~done
+                if not keep.any():
+                    return values, q
+                live = live[keep]
+                threshold = threshold[keep]
+                work = np.ascontiguousarray(work[:, :, keep])
+            for pivots, partner, pair, sign in zip(*steps):
+                # work is contiguous, so the (m * m, live) reshape is a view
+                pivot = work.reshape(-1, live.size)[pivots]
+                apr = pivot[:h]
+                t = _tangents(apr, pivot[2 * h:3 * h] - pivot[3 * h:])
+                t[apr == 0.0] = 0.0  # a zero pivot leaves its pair unrotated
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                # index i of a pair (p, r) becomes c * i + sign * s * partner,
+                # row i for the rows, column i for the columns
+                c = c[pair]
+                s = s[pair] * sign
+                matrix = work[:m]
+                matrix[...] = c[:, None] * matrix + s[:, None] * matrix[partner]
+                work = c * work + s * work[:, partner]
+                work.reshape(-1, live.size)[pivots[:2 * h]] = 0.0  # (p, r) and (r, p)
+    raise ConvergenceError("Jacobi sweep cap reached without convergence")
+
+
 # Groups of at least this many distinct same-size solves go to the batched
 # kernel, smaller ones one at a time to the list kernel: _BATCH_MIN for
 # eigenvalues only, _BATCH_MIN_VECTORS with eigenvectors.  Both kernels give
@@ -474,6 +603,12 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
 # stacks of campaign matrices, see CHANGES.md).
 _BATCH_MIN = 12
 _BATCH_MIN_VECTORS = 8
+# Matrices of at least this size go to the round-robin kernel, alone or
+# stacked.  On one matrix it takes up to 1.5 times the list kernel's time at
+# sizes 12 and 13 and less from 14 on, on a stack of 4 to 12 far less than
+# either cyclic kernel, and campaigns at sizes 12..16 run faster with it; at
+# 9..11 they do not (measured per size, see CHANGES.md).
+_ROUND_ROBIN_MIN = 12
 
 
 def _distinct(arrays):
@@ -491,12 +626,15 @@ def _distinct(arrays):
 
 
 def _solve_many(arrays, vectors: bool) -> list:
-    """``_cyclic_jacobi(a, vectors)`` of each bitwise-symmetric array ``a``, bit for bit.
+    """(eigenvalues, eigenvectors or ``None``) of each bitwise-symmetric array.
 
-    Arrays with the same bytes are solved once.  The distinct arrays of one
-    size are solved together by ``_jacobi_batch`` when there are at least
-    ``_BATCH_MIN`` of them (``_BATCH_MIN_VECTORS`` with eigenvectors) and by
-    ``_cyclic_jacobi`` one at a time otherwise.
+    Arrays with the same bytes are solved once.  Each size has one Jacobi
+    ordering, so an array's bits depend only on its bytes.  The distinct
+    arrays of a size n >= ``_ROUND_ROBIN_MIN`` are solved together by
+    ``_jacobi_round_robin``.  Below that, those of one size are solved
+    together by ``_jacobi_batch`` when there are at least ``_BATCH_MIN`` of
+    them (``_BATCH_MIN_VECTORS`` with eigenvectors) and by ``_cyclic_jacobi``
+    one at a time otherwise; both give ``_cyclic_jacobi``'s bits.
     """
     distinct, slots = _distinct(arrays)
     by_size: dict = {}
@@ -504,15 +642,19 @@ def _solve_many(arrays, vectors: bool) -> list:
         by_size.setdefault(a.shape[0], []).append(i)
     least = _BATCH_MIN_VECTORS if vectors else _BATCH_MIN
     solved = [None] * len(distinct)
-    for members in by_size.values():
-        if len(members) >= least:
-            values, q = _jacobi_batch(np.stack([distinct[i] for i in members]), vectors)
-            for j, i in enumerate(members):
-                # arrays of its own for each matrix, Q laid out as _cyclic_jacobi lays it out
-                solved[i] = (values[j].copy(), q[j].T.copy().T if vectors else None)
+    for n, members in by_size.items():
+        if n >= _ROUND_ROBIN_MIN:
+            kernel = _jacobi_round_robin
+        elif len(members) >= least:
+            kernel = _jacobi_batch
         else:
             for i in members:
                 solved[i] = _cyclic_jacobi(distinct[i], vectors)
+            continue
+        values, q = kernel(np.stack([distinct[i] for i in members]), vectors)
+        for j, i in enumerate(members):
+            # arrays of its own for each matrix, Q laid out as _cyclic_jacobi lays it out
+            solved[i] = (values[j].copy(), q[j].T.copy().T if vectors else None)
     return [solved[i] for i in slots]
 
 
@@ -524,7 +666,7 @@ def _eigenvalues_many(arrays) -> list:
 def _decompose_many(matrices) -> None:
     """Fill the decomposition cache of each matrix in one ``_solve_many`` call.
 
-    Each cache gets the bits ``_cyclic_jacobi`` gives its matrix alone.
+    Each cache gets the bits ``eigendecompose`` gives its matrix alone.
     """
     todo = [matrix for matrix in matrices if matrix._decomposition is None]
     for matrix, (lam, q) in zip(todo, _solve_many([m.entries for m in todo], vectors=True)):
@@ -534,12 +676,13 @@ def _decompose_many(matrices) -> None:
 
 
 def eigendecompose(matrix: SymmetricMatrix) -> SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvectors by cyclic Jacobi.
+    """Eigenvalues (ascending) and orthonormal eigenvectors by Jacobi.
 
-    Sweeps run in row-major pair order until the off-diagonal Frobenius mass
-    drops below 1e-14 times the Frobenius norm of the input, capped at 100
-    sweeps.  The input is first scaled by an exact power of two, so entries
-    from subnormal up to 1e308 are handled.  Deterministic for a fixed input.
+    Sweeps run in row-major pair order (round-robin order from size 12, see
+    ``_solve_many``) until the off-diagonal Frobenius mass drops below 1e-14
+    times the Frobenius norm of the input, capped at 100 sweeps.  The input
+    is first scaled by an exact power of two, so entries from subnormal up
+    to 1e308 are handled.  Deterministic for a fixed input.
     """
     if matrix._decomposition is None:
         _decompose_many((matrix,))

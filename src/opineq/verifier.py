@@ -118,8 +118,10 @@ class TrialSpec:
                             ("dimension", dims[1])):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise BadParameter(f"{name} must be an int, got {value!r}")
-        if isinstance(self.function_set, str) or isinstance(self.map_set, str):
-            raise BadParameter("function_set and map_set must be sequences of names, not a string")
+        for names in (self.function_set, self.map_set):
+            if not isinstance(names, (tuple, list)):
+                raise BadParameter(f"function_set and map_set must each be a tuple or a list "
+                                   f"of names (not a string), got {names!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise BadParameter(f"trials must be between 1 and {MAX_TRIALS}, got {self.trials}")
         lo, hi = dims

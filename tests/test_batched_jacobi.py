@@ -1,10 +1,14 @@
 """The batched Jacobi gives the list kernel's bits, with and without
-eigenvectors, and deferred Loewner verdicts equal eager ones.
+eigenvectors, deferred Loewner verdicts equal eager ones, and the
+round-robin kernel's bits depend on nothing but the matrix.
 
 ``_jacobi_batch`` solves a stack of same-size matrices with one numpy step
 per rotation.  Each matrix keeps its own rotation, its own zero pivots and
 its own stopping test, so its eigenvalues and eigenvectors must be the bytes
 of ``_cyclic_jacobi(a, vectors)`` whatever else shares the stack.
+``_jacobi_round_robin``, which solves every matrix of size 12 and up, alone
+or stacked, must likewise give a matrix the same bytes alone and in any
+stack, and eigenvalues that agree with LAPACK's.
 """
 
 import ast
@@ -15,15 +19,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opineq import LoewnerRelation, SymmetricMatrix, loewner_compare, spectral
+from opineq import ConvergenceError, LoewnerRelation, SymmetricMatrix, loewner_compare, spectral
 from opineq.bounds import _claim, _judge
 from opineq.spectral import (
     _BATCH_MIN,
     _BATCH_MIN_VECTORS,
+    _ROUND_ROBIN_MIN,
     _cyclic_jacobi,
     _decompose_many,
     _eigenvalues_many,
     _jacobi_batch,
+    _jacobi_round_robin,
     eigendecompose,
 )
 
@@ -62,6 +68,10 @@ def _mixed(rng: np.random.Generator, n: int, kind: int) -> np.ndarray:
 
 def _list_bits(a: np.ndarray) -> bytes:
     return _cyclic_jacobi(np.ascontiguousarray(a), vectors=False)[0].tobytes()
+
+
+def _round_robin_bits(a: np.ndarray) -> bytes:
+    return _jacobi_round_robin(a[None])[0][0].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 7, 64])
@@ -122,9 +132,14 @@ def test_eigenvalues_many_dedupes_and_picks_the_kernel_by_group_size(monkeypatch
     rng = np.random.default_rng(5)
     big = [_mixed(rng, 4, 0) for _ in range(_BATCH_MIN)]
     small = [_mixed(rng, 3, 0) for _ in range(_BATCH_MIN - 1)]
+    # from the size cut on, one matrix or many go to the round-robin kernel
+    large = [_mixed(rng, _ROUND_ROBIN_MIN, 0) for _ in range(_BATCH_MIN)]
+    lone = [_mixed(rng, _ROUND_ROBIN_MIN + 1, 0)]
+    below = [_mixed(rng, _ROUND_ROBIN_MIN - 1, 0) for _ in range(2)]
     calls = collections.Counter()
     one_by_one = spectral._cyclic_jacobi
     batched = spectral._jacobi_batch
+    round_robin = spectral._jacobi_round_robin
 
     def counting(a, vectors=True):
         calls["list", a.shape[0]] += 1
@@ -134,13 +149,23 @@ def test_eigenvalues_many_dedupes_and_picks_the_kernel_by_group_size(monkeypatch
         calls["batch", stack.shape[1]] += len(stack)
         return batched(stack, vectors)
 
+    def counting_round_robin(stack, vectors=False):
+        calls["round_robin", stack.shape[1]] += len(stack)
+        return round_robin(stack, vectors)
+
     monkeypatch.setattr(spectral, "_cyclic_jacobi", counting)
     monkeypatch.setattr(spectral, "_jacobi_batch", counting_batch)
-    arrays = big + small + [big[0].copy(), small[0].copy()]  # same bytes, other objects
+    monkeypatch.setattr(spectral, "_jacobi_round_robin", counting_round_robin)
+    arrays = big + small + large + lone + below
+    arrays += [big[0].copy(), small[0].copy(), large[0].copy(), lone[0].copy()]  # same bytes, other objects
     values = _eigenvalues_many(arrays)
-    assert calls == {("batch", 4): _BATCH_MIN, ("list", 3): _BATCH_MIN - 1}
+    assert calls == {("batch", 4): _BATCH_MIN, ("list", 3): _BATCH_MIN - 1,
+                     ("round_robin", _ROUND_ROBIN_MIN): _BATCH_MIN,
+                     ("round_robin", _ROUND_ROBIN_MIN + 1): 1,
+                     ("list", _ROUND_ROBIN_MIN - 1): 2}
     for a, lam in zip(arrays, values):
-        assert lam.tobytes() == _list_bits(a)
+        expected = _list_bits(a) if a.shape[0] < _ROUND_ROBIN_MIN else _round_robin_bits(a)
+        assert lam.tobytes() == expected
 
 
 def test_decompose_many_fills_the_caches_eigendecompose_would(monkeypatch):
@@ -206,14 +231,14 @@ def test_batched_verdicts_equal_loewner_compare():
 def test_solve_many_is_the_only_caller_of_the_kernels():
     # one door: a solve counter or tracer hooked on _solve_many sees every solve
     source = Path(spectral.__file__).read_text()
-    callers = collections.Counter()
+    kernels = {"_cyclic_jacobi", "_jacobi_batch", "_jacobi_round_robin"}
+    named = collections.defaultdict(set)  # function -> the kernels it names
     for function in ast.walk(ast.parse(source)):
         if isinstance(function, ast.FunctionDef):
             for node in ast.walk(function):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                        and node.func.id in ("_cyclic_jacobi", "_jacobi_batch"):
-                    callers[function.name, node.func.id] += 1
-    assert set(callers) == {("_solve_many", "_cyclic_jacobi"), ("_solve_many", "_jacobi_batch")}
+                if isinstance(node, ast.Name) and node.id in kernels:
+                    named[function.name].add(node.id)
+    assert named == {"_solve_many": kernels}
 
 
 def test_eigendecompose_solves_a_cache_miss_through_solve_many(monkeypatch):
@@ -234,3 +259,66 @@ def test_eigendecompose_solves_a_cache_miss_through_solve_many(monkeypatch):
     assert dec.eigenvectors.tobytes() == expected[1].tobytes()
     assert dec.eigenvectors.strides == expected[1].strides
     assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
+
+
+def _round_robin_set(rng: np.random.Generator, n: int) -> list:
+    """Seven matrix kinds for the round-robin kernel, each bitwise symmetric."""
+    g = _symmetric(rng.standard_normal((n, n)))
+    v = rng.standard_normal(n)
+    h = n // 2
+    blocks = np.zeros((n, n))  # block-diagonal, with exact-zero off-diagonal blocks
+    blocks[:h, :h] = _symmetric(rng.standard_normal((h, h)))
+    blocks[h:, h:] = _symmetric(rng.standard_normal((n - h, n - h)))
+    return [
+        g,
+        np.diag(rng.standard_normal(n)),
+        np.eye(n) + 1e-9 * _symmetric(rng.standard_normal((n, n))),  # clustered around 1
+        np.diag(np.logspace(-9.0, 9.0, n)) + 1e-3 * g,  # spread over 1e-9 .. 1e9
+        blocks,
+        np.zeros((n, n)),
+        1.5 * np.eye(n) + 0.75 * np.outer(v, v),  # 1.5 repeated n - 1 times
+    ]
+
+
+@pytest.mark.parametrize("n", [12, 13, 16, 17, 32])
+def test_round_robin_bits_do_not_depend_on_the_stack(n):
+    rng = np.random.default_rng([n, 21])
+    kinds = _round_robin_set(rng, n)
+    others = [a for _ in range(6) for a in _round_robin_set(rng, n)]
+    alone = {vectors: [_jacobi_round_robin(a[None], vectors) for a in kinds] for vectors in (False, True)}
+    for i in range(len(kinds)):
+        # the values-only path gives the vectors path's eigenvalue bits
+        assert alone[False][i][0].tobytes() == alone[True][i][0].tobytes(), i
+        assert alone[False][i][1] is None
+    for size in (2, 7, 48):
+        for i, a in enumerate(kinds):
+            at = (3 * i) % size  # a sits at another place in each stack
+            stack = np.stack(others[:at] + [a] + others[at:size - 1])
+            before = stack.tobytes()
+            for vectors in (False, True):
+                values, q = _jacobi_round_robin(stack, vectors)
+                assert values[at].tobytes() == alone[vectors][i][0][0].tobytes(), (size, i, vectors)
+                if vectors:
+                    assert q[at].tobytes() == alone[vectors][i][1][0].tobytes(), (size, i)
+            assert stack.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [12, 13, 16, 17, 32])
+def test_round_robin_agrees_with_lapack(n):
+    rng = np.random.default_rng([n, 22])
+    kinds = _round_robin_set(rng, n)
+    values, q = _jacobi_round_robin(np.stack(kinds), vectors=True)
+    for i, a in enumerate(kinds):
+        reference = np.linalg.eigvalsh(a)
+        radius = np.abs(reference).max()
+        assert np.abs(values[i] - reference).max() <= 1e-12 * radius, i
+        assert np.abs(q[i].T @ q[i] - np.eye(n)).max() <= 1e-12, i
+        assert np.abs((q[i] * values[i]) @ q[i].T - a).max() <= 1e-12 * max(radius, 1.0), i
+
+
+def test_round_robin_sweep_cap_raises(monkeypatch):
+    a = _mixed(np.random.default_rng(9), 16, 0)
+    monkeypatch.setattr(spectral, "_SWEEP_CAP", 1)
+    for vectors in (False, True):
+        with pytest.raises(ConvergenceError, match="sweep cap"):
+            spectral._solve_many([a], vectors)

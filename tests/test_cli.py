@@ -213,15 +213,19 @@ class TestFuzzCommand:
             decompose(matrices)
 
         monkeypatch.setattr(verifier, "_decompose_many", counting)
-        outputs = []
-        for budget in (verifier._CHUNK_BUDGET, 1):  # one chunk, then one trial per chunk
-            monkeypatch.setattr(verifier, "_CHUNK_BUDGET", budget)
-            out, csv_path = tmp_path / f"{budget}.json", tmp_path / f"{budget}.csv"
-            main(["fuzz", "--seed", "5", "--dims", "2..8", "--trials", "24",
-                  "--out", str(out), "--csv", str(csv_path)])
-            outputs.append((out.read_bytes(), csv_path.read_bytes()))
-        assert chunks == [24] + [1] * 24
-        assert outputs[0] == outputs[1]
+        budget_of_one_chunk = verifier._CHUNK_BUDGET
+        # the cyclic kernels below size 12, the round-robin kernel from 12 on
+        for dims, trials in (("2..8", 24), ("12..16", 6)):
+            chunks.clear()
+            outputs = []
+            for budget in (budget_of_one_chunk, 1):  # one chunk, then one trial per chunk
+                monkeypatch.setattr(verifier, "_CHUNK_BUDGET", budget)
+                out, csv_path = tmp_path / f"{budget}.json", tmp_path / f"{budget}.csv"
+                main(["fuzz", "--seed", "5", "--dims", dims, "--trials", str(trials),
+                      "--out", str(out), "--csv", str(csv_path)])
+                outputs.append((out.read_bytes(), csv_path.read_bytes()))
+            assert chunks == [trials] + [1] * trials, dims
+            assert outputs[0] == outputs[1], dims
 
     def test_defaults_are_the_trial_spec_defaults(self, monkeypatch, capsys):
         # fuzz without flags runs exactly TrialSpec(); the CLI keeps no copy of its defaults

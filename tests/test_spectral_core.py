@@ -28,7 +28,7 @@ from opineq import (
     random_symmetric_with_spectrum,
     spectral,
 )
-from opineq.spectral import _array_from_payload, _cyclic_jacobi
+from opineq.spectral import _array_from_payload, _cyclic_jacobi, _eigenvalues_many
 
 
 def inverse_2x2_oracle(a):
@@ -295,21 +295,28 @@ class TestExtremeScales:
         assert verdict.gap_min_eig == values[0]
         assert verdict.gap_max_eig == values[1]
 
+    # 6 and 4 go to the cyclic kernels, 13 and 16 to the round-robin one
     @pytest.mark.parametrize("power", [500, 1000, -500, -1000])
     def test_power_of_two_scaling_is_exact(self, power):
-        matrix = random_symmetric_with_spectrum(derive_seed(77, power), 6, -2.0, 3.0)
-        scaled = SymmetricMatrix(np.ldexp(matrix.entries, power))
-        dec = eigendecompose(matrix)
-        dec_scaled = eigendecompose(scaled)
-        assert np.array_equal(dec_scaled.eigenvalues, np.ldexp(dec.eigenvalues, power))
-        assert np.array_equal(dec_scaled.eigenvectors, dec.eigenvectors)
-        values, _ = _cyclic_jacobi(scaled.entries, vectors=False)
-        assert np.array_equal(values, dec_scaled.eigenvalues)
+        for n in (6, 13, 16):
+            matrix = random_symmetric_with_spectrum(derive_seed(77, power), n, -2.0, 3.0)
+            scaled = SymmetricMatrix(np.ldexp(matrix.entries, power))
+            dec = eigendecompose(matrix)
+            dec_scaled = eigendecompose(scaled)
+            assert np.array_equal(dec_scaled.eigenvalues, np.ldexp(dec.eigenvalues, power)), n
+            assert np.array_equal(dec_scaled.eigenvectors, dec.eigenvectors), n
+            (values,) = _eigenvalues_many([scaled.entries])
+            assert np.array_equal(values, dec_scaled.eigenvalues), n
 
     def test_subnormal_entries(self):
         tiny = 2.0**-1040
-        dec = eigendecompose(SymmetricMatrix(np.full((4, 4), tiny)))
-        assert np.array_equal(dec.eigenvalues, [0.0, 0.0, 0.0, 4.0 * tiny])
+        for n in (4, 13, 16):
+            dec = eigendecompose(SymmetricMatrix(np.full((n, n), tiny)))
+            assert np.array_equal(dec.eigenvalues, [0.0] * (n - 1) + [n * tiny]), n
+            # the prescale lifts tiny to 1/2, as it does 1.0, so the bits scale exactly
+            ones = eigendecompose(SymmetricMatrix(np.ones((n, n))))
+            assert np.array_equal(dec.eigenvalues, np.ldexp(ones.eigenvalues, -1040)), n
+            assert np.array_equal(dec.eigenvectors, ones.eigenvectors), n
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

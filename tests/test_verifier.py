@@ -163,10 +163,12 @@ class TestCampaign:
         ({"function_set": (3,)}, "names must be strings, got 3"),
         ({"function_set": (b"log",)}, "names must be strings"),
         ({"map_set": ("corner", None)}, "names must be strings, got None"),
+        ({"function_set": 3}, "a tuple or a list of names .* got 3"),
+        ({"map_set": 7}, "a tuple or a list of names .* got 7"),
     ], ids=["float_seed", "bool_seed", "float_trials", "bool_trials", "float_dim", "triple_dims",
             "scalar_dims", "string_function_set", "string_map_set", "empty_function_set",
             "numpy_float_tolerance", "numpy_int_tolerance", "int_function", "bytes_function",
-            "none_map"])
+            "none_map", "int_function_set", "int_map_set"])
     def test_rejects_ill_typed_specs(self, fields, message, monkeypatch):
         monkeypatch.setattr(verifier, "_draw_trial", None)  # no trial may be drawn
         spec = TrialSpec(**{"trials": 1, **fields})

@@ -247,9 +247,20 @@ def build_context(
     User-supplied intervals may be wider than the hull (that changes alpha
     and beta); they must still enclose the spectrum.
     """
+    return _build_context(matrix, phi, fn, m, M, None)
+
+
+def _build_context(
+    matrix: SymmetricMatrix, phi: PositiveUnitalMap, fn: ScalarFunction, m, M, phi_A
+) -> CdjContext:
+    """``build_context``, with ``phi_A`` = ``phi.apply(matrix)`` if built already, else ``None``.
+
+    A campaign builds Phi(A) and solves it beforehand, beside the drawn A.
+    """
     m, M = _interval_for(matrix, m, M)
     bounds = second_derivative_range(fn, m, M)
-    phi_A = phi.apply(matrix)
+    if phi_A is None:
+        phi_A = phi.apply(matrix)
     tol = 1e-12 * (1.0 + max(abs(m), abs(M)))
     # a unital positive map keeps Phi(A) inside [m, M]
     lo, hi = phi_A.min_eigenvalue(), phi_A.max_eigenvalue()

@@ -29,7 +29,7 @@ from .errors import BadParameter, OpineqError
 from .functions import parse_function_spec
 from .maps import map_from_info
 from .perspectives import DensityOperator, quantum_tsallis_lower_bound, von_neumann_lower_bound
-from .rng import derive_seed
+from .rng import _checked_seed, derive_seed
 from .spectral import SymmetricMatrix, _array_from_payload
 from .verifier import FAMILIES, MAX_TRIALS, TrialSpec, random_density, run_campaign
 
@@ -173,10 +173,9 @@ def cmd_check(args) -> int:
 
 
 def _seed(args) -> int:
-    """``--seed``, else ``OPINEQ_SEED``, else ``TrialSpec``'s default seed."""
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("OPINEQ_SEED", TrialSpec.seed))
+    """``--seed``, else ``OPINEQ_SEED``, else ``TrialSpec``'s default seed; checked as a campaign's."""
+    seed = args.seed if args.seed is not None else int(os.environ.get("OPINEQ_SEED", TrialSpec.seed))
+    return _checked_seed(seed)
 
 
 def cmd_fuzz(args) -> int:

@@ -79,10 +79,10 @@ class OperatorPair:
     """
 
     def __init__(self, first: SymmetricMatrix, second: SymmetricMatrix, m=None, M=None):
-        if first.dim != second.dim:
-            raise ShapeError(f"dimension mismatch: {first.dim} vs {second.dim}")
-        root, inv_root = matrix_sqrt_inv_sqrt(first)
-        inner = SymmetricMatrix(inv_root.entries @ second.entries @ inv_root.entries)
+        self._settle(first, second, _sandwiched(first, second), m, M)
+
+    def _settle(self, first: SymmetricMatrix, second: SymmetricMatrix, inner: SymmetricMatrix, m, M):
+        """Check the sandwich condition on ``inner`` = first^{-1/2} second first^{-1/2}; keep the pair."""
         lo, hi = inner.min_eigenvalue(), inner.max_eigenvalue()
         psd_tol = 1e-10 * (1.0 + max(abs(lo), abs(hi)))
         if lo < -psd_tol:
@@ -101,8 +101,7 @@ class OperatorPair:
             raise BadParameter(f"need m < M, got m={m!r}, M={M!r}")
         self.A = first
         self.B = second
-        self.root = root
-        self.inv_root = inv_root
+        self.root, self.inv_root = matrix_sqrt_inv_sqrt(first)
         self.inner = inner
         self.m = m
         self.M = M
@@ -117,6 +116,24 @@ class OperatorPair:
 
     def __repr__(self):
         return f"OperatorPair(dim={self.A.dim}, m={self.m:.6g}, M={self.M:.6g})"
+
+
+def _sandwiched(first: SymmetricMatrix, second: SymmetricMatrix) -> SymmetricMatrix:
+    """first^{-1/2} second first^{-1/2}, not yet solved: the matrix an ``OperatorPair`` checks."""
+    if first.dim != second.dim:
+        raise ShapeError(f"dimension mismatch: {first.dim} vs {second.dim}")
+    _, inv_root = matrix_sqrt_inv_sqrt(first)
+    return SymmetricMatrix(inv_root.entries @ second.entries @ inv_root.entries)
+
+
+def _pair_on(first: SymmetricMatrix, second: SymmetricMatrix, inner, m=None, M=None) -> OperatorPair:
+    """``OperatorPair(first, second, m, M)`` on ``inner``, its ``_sandwiched`` matrix, if built already.
+
+    With ``inner`` ``None`` the pair builds it, as the constructor does.
+    """
+    pair = object.__new__(OperatorPair)
+    pair._settle(first, second, _sandwiched(first, second) if inner is None else inner, m, M)
+    return pair
 
 
 def perspective(pair: OperatorPair, fn: ScalarFunction) -> SymmetricMatrix:
@@ -226,11 +243,19 @@ def map_commutation_bounds(pair: OperatorPair, phi: PositiveUnitalMap, fn: Scala
             + (1/2)(beta Phi(A) natural_2 Phi(B) - alpha Phi(A natural_2 B))
         <= P_f(Phi(A)|Phi(B)) - Phi(P_f(A|B)) <=   ... with alpha and beta swapped.
     """
+    return _map_commutation_bounds(pair, phi, fn, None)
+
+
+def _map_commutation_bounds(pair: OperatorPair, phi: PositiveUnitalMap, fn: ScalarFunction, image):
+    """``map_commutation_bounds``, with ``image`` = (Phi(A), Phi(B), their ``_sandwiched`` matrix).
+
+    A campaign builds ``image`` and solves its sandwiched matrix beforehand;
+    with ``image`` ``None`` the images are built here.
+    """
     bounds = second_derivative_range(fn, pair.m, pair.M)
     alpha, beta = bounds.alpha, bounds.beta
-    phi_A = phi.apply(pair.A)
-    phi_B = phi.apply(pair.B)
-    image_pair = OperatorPair(phi_A, phi_B, m=pair.m, M=pair.M)
+    phi_A, phi_B, inner = image or (phi.apply(pair.A), phi.apply(pair.B), None)
+    image_pair = _pair_on(phi_A, phi_B, inner, m=pair.m, M=pair.M)
     middle = perspective(image_pair, fn) - phi.apply(perspective(pair, fn))
     nat2_image = image_pair.natural_power(2.0)
     nat2_preimage = phi.apply(pair.natural_power(2.0))

@@ -18,6 +18,8 @@ Doubles in [0, 1) take the top 53 bits of an output word.
 
 from __future__ import annotations
 
+from .errors import BadParameter
+
 __all__ = ["SplitMix64", "derive_seed", "mix64"]
 
 MASK64 = (1 << 64) - 1
@@ -30,6 +32,19 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
+
+
+def _checked_seed(seed) -> int:
+    """``seed``, if it is an int in [0, 2**64); anything else raises ``BadParameter``.
+
+    The generator reduces its seed mod 2**64, so a seed outside that range
+    would run another seed's stream under its own name.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise BadParameter(f"seed must be an int, got {seed!r}")
+    if not 0 <= seed <= MASK64:
+        raise BadParameter(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def derive_seed(seed: int, index: int) -> int:

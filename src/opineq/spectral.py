@@ -20,9 +20,11 @@ picks the kernel by size and, below 12, by the number of distinct
 same-size matrices.  Every eigenvalues-only solve goes through
 it (``_eigenvalues_many``): each Loewner comparison, alone or judged
 together with others (a campaign chunk's, say).  ``_decompose_many`` fills
-the decomposition caches of many matrices through it (a campaign chunk's
-drawn inputs), and ``eigendecompose`` fills one matrix's cache through
-it on a cache miss.  So ``_solve_many`` is the kernels' only caller.
+the decomposition caches of many matrices through it (each of a campaign
+chunk's two waves: the drawn inputs with their map images, then the
+sandwiched matrices built from their roots), and ``eigendecompose`` fills
+one matrix's cache through it on a cache miss.  So ``_solve_many`` is the
+kernels' only caller.
 
 The two cyclic kernels write each new row into the matching column, so
 they rely on their input being bitwise symmetric: entry (i, j) and entry

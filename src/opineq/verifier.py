@@ -10,13 +10,18 @@ the ``scale`` its failure threshold grows with; slack below
 reproducer record.
 
 Trials are independent, and a trial's bits depend only on its own seed, so
-the campaign runs them in chunks, in four phases per chunk: draw every
-trial's seeds and input matrices; decompose the drawn A, sandwich base, rho
-and sigma of all of them in one dispatch (same-size groups big enough go to
-the batched eigenvector kernel); evaluate every family of every trial; and
-judge all the chunk's pending comparisons, with the two statistics'
-matrices, in one ``bounds._judge`` call.  Every solve gives the bits it
-would give alone, so reports are byte-for-byte the same for any chunking.
+the campaign runs them in chunks.  A chunk draws every trial's seeds and
+input matrices, then decomposes what its trials start from in two waves of
+one ``spectral._decompose_many`` dispatch each.  The first holds the drawn
+A, sandwich base, rho and sigma of every trial and the map images Phi(A)
+and Phi(base), which need nothing solved first.  The second holds the three
+sandwiched matrices built from first-wave roots: base^{-1/2} B base^{-1/2},
+rho^{-1/2} sigma rho^{-1/2} and Phi(base)^{-1/2} Phi(B) Phi(base)^{-1/2}.
+Then it evaluates every family of every trial, whose constructors check
+the solved matrices and solve none alone, and judges all the chunk's
+pending comparisons, with the two statistics' matrices, in one
+``bounds._judge`` call.  Every solve gives the bits it would give alone, so
+reports are byte-for-byte the same for any chunking.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import (
+    _build_context,
     _improved_kantorovich,
     _judge,
     _power_chain,
@@ -39,21 +45,23 @@ from .bounds import (
     ratio_sandwich_min,
     refined_sandwich_chain,
 )
-from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex
+from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex, OpineqError
 from .functions import _check_positive_interval, catalog_lookup, parse_function_spec
 from .maps import PositiveUnitalMap, map_from_info
 from .perspectives import (
     DensityOperator,
     OperatorPair,
+    _map_commutation_bounds,
+    _pair_on,
+    _sandwiched,
     _tsallis_trace_bounds,
-    map_commutation_bounds,
     perspective_bounds,
     quantum_tsallis_lower_bound,
     relative_entropy_bounds,
     tsallis_entropy_bounds,
     von_neumann_lower_bound,
 )
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, _checked_seed, derive_seed
 from .spectral import (
     SymmetricMatrix,
     _array_from_payload,
@@ -93,9 +101,10 @@ DENSITY_EIGENVALUE_FLOOR = 1e-3
 MAX_DIM = 32
 MAX_TRIALS = 10_000
 # A campaign chunk holds trials whose dimensions squared sum to at most this
-# (a trial above it is a chunk of its own).  Chunk trials keep their operators
-# until the chunk is judged, about 1.4 MB per dim-32 trial, so this bounds the
-# memory: 12 trials of dim 4 fit in one chunk, and 2 of dim 32.
+# (a trial above it is a chunk of its own).  Chunk trials keep their operators,
+# both waves' included, until the chunk is judged, so this bounds the memory:
+# 12 trials of dim 4 fit in one chunk, and 2 of dim 32, whose chunk peaks at
+# 3.3 MB traced (a 12-trial dim-32 campaign at 36.3 MB peak RSS).
 _CHUNK_BUDGET = 2048
 
 
@@ -114,8 +123,8 @@ class TrialSpec:
         dims = self.dim_range
         if not (isinstance(dims, (tuple, list)) and len(dims) == 2):
             raise BadParameter(f"dim_range must be a pair (lo, hi), got {dims!r}")
-        for name, value in (("seed", self.seed), ("trials", self.trials), ("dimension", dims[0]),
-                            ("dimension", dims[1])):
+        _checked_seed(self.seed)
+        for name, value in (("trials", self.trials), ("dimension", dims[0]), ("dimension", dims[1])):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise BadParameter(f"{name} must be an int, got {value!r}")
         for names in (self.function_set, self.map_set):
@@ -157,8 +166,9 @@ class Family:
 
     ``evaluate(*prepared, **params)`` returns the family's reports, one per
     label, from the prepared inputs of its reproducer ``kind`` (see
-    ``_evaluate_trial`` and ``_prepare``).  ``params`` are fixed values of this
-    entry that its reproducer records carry too.  ``skips`` are the
+    ``_evaluate_trial`` and ``_prepare``); those of kind "pair" end in the map
+    images that ``_map_commutation_bounds`` reads, or ``None``.  ``params``
+    are fixed values of this entry that its reproducer records carry too.  ``skips`` are the
     exceptions that mean the instance fails the family's preconditions.
     """
 
@@ -229,22 +239,22 @@ FAMILIES = {
     "perspective": Family(
         ("perspective_lower", "perspective_upper"),
         "pair",
-        lambda pair, phi, fn, p: perspective_bounds(pair, fn),
+        lambda pair, phi, fn, p, image: perspective_bounds(pair, fn),
     ),
     "map_commutation": Family(
         ("map_commutation_lower", "map_commutation_upper"),
         "pair",
-        lambda pair, phi, fn, p: map_commutation_bounds(pair, phi, fn),
+        lambda pair, phi, fn, p, image: _map_commutation_bounds(pair, phi, fn, image),
     ),
     "tsallis_operator": Family(
         ("tsallis_operator_lower", "tsallis_operator_upper"),
         "pair",
-        lambda pair, phi, fn, p: tsallis_entropy_bounds(pair, p),
+        lambda pair, phi, fn, p, image: tsallis_entropy_bounds(pair, p),
     ),
     "relative_entropy": Family(
         ("relative_entropy_lower", "relative_entropy_upper"),
         "pair",
-        lambda pair, phi, fn, p: relative_entropy_bounds(pair),
+        lambda pair, phi, fn, p, image: relative_entropy_bounds(pair),
     ),
     "tsallis_trace": Family(
         ("tsallis_trace_lower", "tsallis_trace_upper", "tsallis_relative_upper"),
@@ -271,17 +281,21 @@ def registered_inequalities() -> tuple[str, ...]:
 
 
 def random_orthogonal(rng: SplitMix64, dim: int) -> np.ndarray:
-    """Orthogonal matrix composed of one Givens rotation per index pair."""
-    q = np.eye(dim)
+    """Orthogonal matrix composed of one Givens rotation per index pair.
+
+    The columns are lists of Python floats, whose products and sums round
+    as numpy's elementwise ones do; numpy's cos and sin of each angle, one
+    call each, keep the bits of any platform's numpy.  C-contiguous.
+    """
+    cols = [[1.0 if row == col else 0.0 for row in range(dim)] for col in range(dim)]
     for i in range(dim - 1):
         for j in range(i + 1, dim):
             theta = rng.uniform(0.0, 2.0 * np.pi)
-            c, s = np.cos(theta), np.sin(theta)
-            col_i = q[:, i].copy()
-            col_j = q[:, j].copy()
-            q[:, i] = c * col_i - s * col_j
-            q[:, j] = s * col_i + c * col_j
-    return q
+            c, s = float(np.cos(theta)), float(np.sin(theta))
+            col_i, col_j = cols[i], cols[j]
+            cols[i] = [c * x - s * y for x, y in zip(col_i, col_j)]
+            cols[j] = [s * x + c * y for x, y in zip(col_i, col_j)]
+    return np.array(cols).T.copy()
 
 
 def random_symmetric_with_spectrum(seed: int, dim: int, m: float, M: float) -> SymmetricMatrix:
@@ -328,7 +342,8 @@ def random_sandwich_pair(seed: int, dim: int, m: float, M: float) -> OperatorPai
     The returned pair carries the exact spectral hull of the sandwiched
     matrix, which is contained in the requested [m, M] by construction.
     """
-    return _sandwich_pair(*_draw_sandwich(seed, dim, m, M))
+    base, inner = _draw_sandwich(seed, dim, m, M)
+    return OperatorPair(base, _sandwich_second(base, inner))
 
 
 def _draw_sandwich(seed: int, dim: int, m: float, M: float) -> tuple[SymmetricMatrix, SymmetricMatrix]:
@@ -339,11 +354,10 @@ def _draw_sandwich(seed: int, dim: int, m: float, M: float) -> tuple[SymmetricMa
     return base, inner
 
 
-def _sandwich_pair(base: SymmetricMatrix, inner: SymmetricMatrix) -> OperatorPair:
-    """The pair (A, A^{1/2} C A^{1/2}) from A = ``base`` and C = ``inner``."""
+def _sandwich_second(base: SymmetricMatrix, inner: SymmetricMatrix) -> SymmetricMatrix:
+    """B = A^{1/2} C A^{1/2} from A = ``base`` and C = ``inner``."""
     root, _ = matrix_sqrt_inv_sqrt(base)
-    second = SymmetricMatrix(root.entries @ inner.entries @ root.entries)
-    return OperatorPair(base, second)
+    return SymmetricMatrix(root.entries @ inner.entries @ root.entries)
 
 
 def _make_map(tag: str, dim: int, rng: SplitMix64):
@@ -443,17 +457,55 @@ def _draw_trial(spec: TrialSpec, index: int) -> _Draw:
     return _Draw(index, trial_seed, dim, fn_spec, m, M, matrix, phi, map_info, base, inner, p, rho, sigma)
 
 
-def _evaluate_trial(draw: _Draw) -> tuple[list, tuple]:
+class _Built(NamedTuple):
+    """The operators a trial builds from its draws before any check, each solved in a wave.
+
+    With the sandwich pair (A, B), B = A^{1/2} C A^{1/2}.  ``_Built()``, all
+    ``None``, stands for a trial whose build raised.
+    """
+
+    phi_A: SymmetricMatrix | None = None  # first wave: Phi of the drawn A
+    phi_base: SymmetricMatrix | None = None  # first wave: Phi(A) of the sandwich pair
+    second: SymmetricMatrix | None = None  # B, not solved
+    sandwiched: SymmetricMatrix | None = None  # second wave: A^{-1/2} B A^{-1/2}
+    relative: SymmetricMatrix | None = None  # second wave: rho^{-1/2} sigma rho^{-1/2}
+    phi_second: SymmetricMatrix | None = None  # Phi(B), not solved
+    image: SymmetricMatrix | None = None  # second wave: Phi(A)^{-1/2} Phi(B) Phi(A)^{-1/2}
+
+
+def _build(draw: _Draw, phi_A: SymmetricMatrix, phi_base: SymmetricMatrix) -> _Built:
+    """The trial's operators; the sandwiched ones are built from first-wave roots.
+
+    If a build raises a library error, ``_Built()``: the trial's evaluation
+    then builds the same matrices where the constructors always built them,
+    so the campaign raises the first error in trial order, whatever the
+    waves met first.
+    """
+    try:
+        second = _sandwich_second(draw.base, draw.inner)
+        phi_second = draw.phi.apply(second)
+        return _Built(
+            phi_A, phi_base, second, _sandwiched(draw.base, second), _sandwiched(draw.rho, draw.sigma),
+            phi_second, _sandwiched(phi_base, phi_second),
+        )
+    except OpineqError:
+        return _Built()
+
+
+def _evaluate_trial(draw: _Draw, built: _Built) -> tuple[list, tuple]:
     """(every evaluated family's reports with its reproducer record, the two statistics' matrices).
 
-    The reports are left unjudged; ``run_campaign`` judges a chunk's at once.
+    The constructors check ``built``'s matrices, or build them where these
+    are ``None``.  The reports are left unjudged; ``run_campaign`` judges a
+    chunk's at once.
     """
     dim, phi, p = draw.dim, draw.phi, draw.p
     fn = parse_function_spec(draw.fn_spec)
-    pair = _sandwich_pair(draw.base, draw.inner)
+    second = _sandwich_second(draw.base, draw.inner) if built.second is None else built.second
+    pair = _pair_on(draw.base, second, built.sandwiched)
     rho = DensityOperator(draw.rho)
     sigma = DensityOperator(draw.sigma)
-    relative_pair = OperatorPair(rho.rho, sigma.rho)
+    relative_pair = _pair_on(rho.rho, sigma.rho, built.relative)
     p_pos = abs(p)
 
     cdj_inputs = {
@@ -489,14 +541,15 @@ def _evaluate_trial(draw: _Draw) -> tuple[list, tuple]:
         },
         "floor": {"kind": "floor", "rho": _matrix_data(rho.rho), "dim": dim, "p": p_pos},
     }
-    ctx = build_context(draw.matrix, phi, fn, draw.m, draw.M)
+    ctx = _build_context(draw.matrix, phi, fn, draw.m, draw.M, built.phi_A)
     # prepared whole: the strict-improvement statistic below reads it too
     kant = _kantorovich(ctx)
+    image = None if built.image is None else (built.phi_base, built.phi_second, built.image)
     prepared = {
         "cdj": (ctx,),
         "power_chain": (ctx,),
         "kantorovich": (kant,),
-        "pair": (pair, phi, fn, p),
+        "pair": (pair, phi, fn, p, image),
         "trace_bounds": (rho, sigma, p_pos, relative_pair),
         "floor": (rho, p_pos),
     }
@@ -536,9 +589,14 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         "kantorovich_strict_improvements": 0,
     }
     for chunk in _chunks(spec):
-        # the drawn matrices other solves start from: one dispatch fills their caches
-        _decompose_many([m for draw in chunk for m in (draw.matrix, draw.base, draw.rho, draw.sigma)])
-        trials = [_evaluate_trial(draw) for draw in chunk]
+        # the first wave: the drawn matrices and their map images, which need nothing solved
+        images = [(draw.phi.apply(draw.matrix), draw.phi.apply(draw.base)) for draw in chunk]
+        _decompose_many([m for draw, pair in zip(chunk, images)
+                         for m in (draw.matrix, draw.base, draw.rho, draw.sigma, *pair)])
+        built = [_build(draw, *pair) for draw, pair in zip(chunk, images)]
+        # the second: the sandwiched matrices, built from first-wave roots
+        _decompose_many([m for b in built for m in (b.sandwiched, b.relative, b.image) if m is not None])
+        trials = [_evaluate_trial(draw, b) for draw, b in zip(chunk, built)]
         # one batched solve judges every comparison and the statistics' spectra
         spectra = iter(_judge(
             [report for evaluated, _ in trials for reports, _ in evaluated for report in reports],
@@ -615,7 +673,7 @@ def _prepare(inputs: dict, kind: str) -> tuple:
         return (_kantorovich(ctx),) if kind == "kantorovich" else (ctx,)
     if kind == "pair":
         pair = OperatorPair(matrix("A"), matrix("B"))
-        return (pair, *map_and_function(), _input(inputs, "p"))
+        return (pair, *map_and_function(), _input(inputs, "p"), None)
     rho = DensityOperator(matrix("rho"))
     if kind == "trace_bounds":
         sigma = DensityOperator(matrix("sigma"))

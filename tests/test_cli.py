@@ -205,14 +205,15 @@ class TestFuzzCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_chunking_leaves_report_bytes_unchanged(self, tmp_path, monkeypatch):
-        decompose = verifier._decompose_many
+        chunks_of = verifier._chunks
         chunks = []
 
-        def counting(matrices):
-            chunks.append(len(matrices) // 4)  # four drawn matrices per trial
-            decompose(matrices)
+        def counting(spec):
+            for chunk in chunks_of(spec):
+                chunks.append(len(chunk))
+                yield chunk
 
-        monkeypatch.setattr(verifier, "_decompose_many", counting)
+        monkeypatch.setattr(verifier, "_chunks", counting)
         budget_of_one_chunk = verifier._CHUNK_BUDGET
         # the cyclic kernels below size 12, the round-robin kernel from 12 on
         for dims, trials in (("2..8", 24), ("12..16", 6)):
@@ -259,6 +260,17 @@ class TestFuzzCommand:
         monkeypatch.delenv("OPINEQ_SEED")
         main(["fuzz", "--seed", "77", "--trials", "4", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, seed, tmp_path, monkeypatch, capsys):
+        # the generator reduces a seed mod 2**64, so -1 would rerun seed 2**64 - 1
+        out = tmp_path / "r.json"
+        assert main(["fuzz", "--seed", str(seed), "--trials", "1", "--out", str(out)]) == 2
+        monkeypatch.setenv("OPINEQ_SEED", str(seed))
+        assert main(["fuzz", "--trials", "1", "--out", str(out)]) == 2
+        assert main(["entropy", "--random", "2"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.count("seed must be in [0, 2**64)") == 3
 
     def test_exit_code_tracks_failures(self, tmp_path):
         out = tmp_path / "r.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from opineq import (
     BadParameter,
     InvalidMatrix,
+    NotPositiveDefinite,
     ScalarCheck,
     SpectrumNotEnclosed,
+    SplitMix64,
     SymmetricMatrix,
     TrialSpec,
     UnknownFunction,
@@ -21,9 +24,12 @@ from opineq import (
     registered_inequalities,
     map_from_info,
     replay_failure,
+    random_orthogonal,
     run_campaign,
+    spectral,
     verifier,
 )
+from opineq.cli import render_json
 from opineq.verifier import DEFAULT_FUNCTIONS, DEFAULT_MAPS, MAX_DIM, MAX_TRIALS
 
 # a valid cdj reproducer (the spectrum of the matrix is about [0.79, 2.21]) and a density matrix
@@ -65,6 +71,22 @@ class TestGenerators:
             random_symmetric_with_spectrum(1, 3, 2.0, 1.0)
         with pytest.raises(BadParameter, match="dimension must be at least 2"):
             random_density(1, 1)
+
+    def test_orthogonal_bits_are_pinned(self):
+        # recorded from the numpy-column construction; the Python-float
+        # columns must give the same bytes, C-contiguous as np.eye made them
+        pinned = {
+            2: "1f60884a6d50eb111060e8a00d924c281570ae92767f41fa3ecca85a8e64816b",
+            3: "08611d4fbeaec17719263b93f4e1fc683084c1aba0a9ec6811ed515d67e450eb",
+            5: "c11902b60e722297b2337293e40f97c4dc86a8ae553ea37b7fe2b8581c15eea9",
+            16: "eb60375460374ce7a4e5faf6f93c636c438d1f3c5d14bc9130aa090c266af285",
+            32: "dad2e947dcd55222fc37fb742aba50638c63b20c74206bf8e8da71c7fdbece35",
+        }
+        for dim, digest in pinned.items():
+            q = random_orthogonal(SplitMix64(dim), dim)
+            assert q.dtype == np.float64 and q.shape == (dim, dim) and q.flags.c_contiguous
+            assert hashlib.sha256(q.tobytes()).hexdigest() == digest, dim
+            np.testing.assert_allclose(q.T @ q, np.eye(dim), atol=1e-13)
 
     def test_density_trace_and_floor(self):
         for i in range(50):
@@ -176,6 +198,19 @@ class TestCampaign:
             spec.validate()
         with pytest.raises(BadParameter, match=message):
             run_campaign(spec)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70 - 1])
+    def test_rejects_seeds_outside_64_bits(self, seed, monkeypatch):
+        # SplitMix64 reduces mod 2**64: these ran the streams of 2**64 - 1, 0 and 2**64 - 1
+        monkeypatch.setattr(verifier, "_draw_trial", None)  # no trial may be drawn
+        spec = TrialSpec(seed=seed, trials=3, dim_range=(2, 3))
+        for check in (spec.validate, lambda: run_campaign(spec)):
+            with pytest.raises(BadParameter, match=r"seed must be in \[0, 2\*\*64\)"):
+                check()
+
+    def test_accepts_the_64_bit_seed_range(self):
+        for seed in (0, 2**64 - 1):
+            TrialSpec(seed=seed).validate()
 
     def test_scalar_row_fails_below_twice_the_tolerance(self, monkeypatch):
         # |lhs|, |rhs| < 1 gives scale 1, so a scalar row fails exactly when
@@ -484,3 +519,84 @@ class TestCampaign:
         first = lines[1].split(",")
         assert first[0] == report.rows[0][0]
         assert first[4] in ("true", "false")
+
+
+def _report_bytes(spec):
+    report = run_campaign(spec)
+    return render_json(report.to_dict()), report.rows
+
+
+class TestDecompositionWaves:
+    """A chunk decomposes its trials' operators in two ``_decompose_many`` waves.
+
+    The first holds the drawn A, sandwich base, rho and sigma and the map
+    images Phi(A) and Phi(base); the second the three sandwiched matrices.
+    Each solve gives the bits it gives alone, so no trial solves an operator
+    alone and the report does not depend on the chunking.
+    """
+
+    @pytest.mark.parametrize("dims, trials", [((2, 4), 12), ((12, 16), 3)])
+    def test_chunking_leaves_identity_and_mixture_reports_unchanged(self, dims, trials, monkeypatch):
+        # the identity's Phi(A) has A's bytes, so the first wave solves it once
+        spec = TrialSpec(seed=11, dim_range=dims, trials=trials, map_set=("identity", "mixture"))
+        drawn = {verifier._draw_trial(spec, i).map_info["tag"] for i in range(trials)}
+        assert drawn == {"identity", "mixture"}
+        whole = _report_bytes(spec)
+        monkeypatch.setattr(verifier, "_CHUNK_BUDGET", 1)  # one trial per chunk
+        assert _report_bytes(spec) == whole
+
+    def test_lowdim_chunk_makes_two_waves_and_no_list_eigenvector_solve(self, monkeypatch):
+        waves = []
+        list_vector_solves = []
+        decompose, one_by_one = verifier._decompose_many, spectral._cyclic_jacobi
+
+        def counting_waves(matrices):
+            waves.append(len(matrices))
+            decompose(matrices)
+
+        def counting_list(a, vectors=True):
+            if vectors:
+                list_vector_solves.append(a.shape)
+            return one_by_one(a, vectors)
+
+        monkeypatch.setattr(verifier, "_decompose_many", counting_waves)
+        monkeypatch.setattr(spectral, "_cyclic_jacobi", counting_list)
+        run_campaign(TrialSpec(seed=7, dim_range=(4, 4), trials=12, map_set=("corner",)))
+        assert waves == [12 * 6, 12 * 3]
+        assert list_vector_solves == []
+
+    def test_highdim_trial_solves_no_eigenvector_stack_of_one(self, monkeypatch):
+        stacks = []
+        round_robin = spectral._jacobi_round_robin
+
+        def recording(stack, vectors=False):
+            stacks.append((len(stack), vectors))
+            return round_robin(stack, vectors)
+
+        monkeypatch.setattr(spectral, "_jacobi_round_robin", recording)
+        run_campaign(TrialSpec(seed=3, dim_range=(14, 14), trials=1, map_set=("pinching",)))
+        assert (1, True) not in stacks
+        assert [size for size, vectors in stacks if vectors] == [6, 3]
+
+    def test_first_error_in_trial_order_wins(self, monkeypatch):
+        # trial 0 raises only when evaluated; trial 1's indefinite sandwich
+        # base makes its second-wave build raise, before any evaluation
+        draw_trial = verifier._draw_trial
+        first_broken = []
+
+        def broken(spec, index):
+            draw = draw_trial(spec, index)
+            if index == 0 and first_broken:
+                return draw._replace(fn_spec="no_such_function")
+            if index == 1:
+                return draw._replace(base=SymmetricMatrix(np.diag([-1.0, *[1.0] * (draw.dim - 1)])))
+            return draw
+
+        monkeypatch.setattr(verifier, "_draw_trial", broken)
+        spec = TrialSpec(seed=1, dim_range=(3, 3), trials=2, map_set=("corner",))
+        with pytest.raises(NotPositiveDefinite, match="minimum eigenvalue"):
+            run_campaign(spec)
+        # with trial 0 broken too, its error comes first, as before the waves
+        first_broken.append(True)
+        with pytest.raises(UnknownFunction):
+            run_campaign(spec)

@@ -2,24 +2,25 @@
 
 Usage::
 
-    python3 tools/bench_spectral.py [--label NAME] [--src DIR]
+    python3 tools/bench_spectral.py --out BENCH_<n>.json [--label NAME] [--src DIR]
 
 ``--src`` is the ``src`` directory of the checkout to time (by default the
 one beside this script), so one copy of this script times two commits.  The
-figures go under ``--label`` in ``BENCH_16.json`` at the repository root,
-next to those already there, with the seed (42), the Python and numpy
-versions and the core count.  A run under a label that is there already
-keeps, figure by figure, the lower of the old and the new one and counts the
-runs, so alternating runs of two commits give each its best over the same
-stretch of time:
+figures go under ``--label`` in the JSON file ``--out``, next to those
+already there, with the seed (42), the Python and numpy versions and the
+core count.  A run under a label that is there already keeps, figure by
+figure, the lower of the old and the new one and counts the runs, so
+alternating runs of two commits give each its best over the same stretch of
+time; a figure that the earlier runs lack is taken as it is:
 
 - ``solve_ms_per_matrix``: ``spectral._solve_many`` on k distinct random
   symmetric n x n matrices, with and without eigenvectors, in ms per matrix
   (the best of a few repeats), for n in 4, 8, 12, 13, 16, 32 and k in 1, 4,
   12, 36;
-- ``campaign_ms_per_trial``: ``run_campaign`` at one dimension (2, 4, 8, 16
-  and 32) with the default functions and maps, in ms per trial (the best of
-  a few repeats).
+- ``campaign_ms_per_trial``: ``run_campaign`` with the default functions
+  and maps at one dimension (2, 4, 8, 16 and 32) and over dims 8..16 (key
+  ``"8..16"``, 24 trials, so a chunk holds several trials of each size), in
+  ms per trial (the best of a few repeats).
 
 BLAS is pinned to one thread before numpy loads, as in ``perfbench``.
 """
@@ -36,10 +37,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 SEED = 42
-OUT = Path(__file__).resolve().parent.parent / "BENCH_16.json"
+ROOT = Path(__file__).resolve().parent.parent
 SIZES = (4, 8, 12, 13, 16, 32)
 GROUPS = (1, 4, 12, 36)
-CAMPAIGN_TRIALS = {2: 24, 4: 24, 8: 24, 16: 10, 32: 2}
+# (lo, hi) dimension range -> trials
+CAMPAIGN_TRIALS = {(2, 2): 24, (4, 4): 24, (8, 8): 24, (16, 16): 10, (32, 32): 2, (8, 16): 24}
 
 
 def _best_ms(run, repeats: int) -> float:
@@ -70,18 +72,20 @@ def solve_times(np, spectral, seed: int) -> list:
 
 def campaign_times(opineq, seed: int) -> dict:
     out = {}
-    for dim, trials in CAMPAIGN_TRIALS.items():
-        spec = opineq.TrialSpec(seed=seed, dim_range=(dim, dim), trials=trials)
-        ms = _best_ms(lambda: opineq.run_campaign(spec), 3 if dim < 32 else 2) / trials
-        out[str(dim)] = round(ms, 3)
-        print(f"campaign dim {dim:2d}: {ms:8.2f} ms per trial ({trials} trials)", flush=True)
+    for (lo, hi), trials in CAMPAIGN_TRIALS.items():
+        spec = opineq.TrialSpec(seed=seed, dim_range=(lo, hi), trials=trials)
+        ms = _best_ms(lambda: opineq.run_campaign(spec), 3 if hi < 32 else 2) / trials
+        key = str(lo) if lo == hi else f"{lo}..{hi}"
+        out[key] = round(ms, 3)
+        print(f"campaign dims {key:>5}: {ms:8.2f} ms per trial ({trials} trials)", flush=True)
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change")
-    parser.add_argument("--src", default=str(OUT.parent / "src"))
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     import numpy as np
@@ -89,7 +93,7 @@ def main(argv=None) -> int:
     import opineq
     from opineq import spectral
 
-    record = json.loads(OUT.read_text()) if OUT.exists() else {}
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.update({
         "seed": SEED,
         "python": platform.python_version(),
@@ -102,13 +106,14 @@ def main(argv=None) -> int:
     if earlier is not None:
         for row, old in zip(solves, earlier["solve_ms_per_matrix"]):
             row["ms"] = min(row["ms"], old["ms"])
-        campaigns = {dim: min(ms, earlier["campaign_ms_per_trial"][dim]) for dim, ms in campaigns.items()}
+        before = earlier["campaign_ms_per_trial"]
+        campaigns = {key: min(ms, before.get(key, ms)) for key, ms in campaigns.items()}
     record[args.label] = {
         "runs": 1 + (earlier["runs"] if earlier is not None else 0),
         "solve_ms_per_matrix": solves,
         "campaign_ms_per_trial": campaigns,
     }
-    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

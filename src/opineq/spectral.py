@@ -401,20 +401,31 @@ def _off_norms(block: np.ndarray, strictly_upper: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * squares.reshape(len(squares), -1).sum(axis=1))
 
 
-def _tangents(apr: np.ndarray, diff: np.ndarray) -> np.ndarray:
+def _tangents(apr: np.ndarray, diff: np.ndarray, out) -> np.ndarray:
     """The tangent of each rotation angle, by ``_cyclic_jacobi``'s formulas.
 
-    Both branches are computed, the first-order tangent included: the one
-    discarded may divide by a zero pivot or overflow, so the callers ignore
-    numpy's warnings.
+    ``out`` is three arrays shaped like ``apr``, which are written in place,
+    the tangents into the last.  Each operation is the cyclic kernel's, on
+    the same operands in the same order, so the bits match: 2 * apr is
+    computed as apr + apr, which is exact.  The first-order tangent is
+    computed only when some |tau| > 1e35, since |apr| < 1e-36 * |diff|
+    implies |tau| > 3.7e35 (4.9e35 unless 1e-36 * |diff| is subnormal), and a
+    NaN tau (apr = diff = 0) passes neither test.  A zero pivot divides by
+    zero, so the callers ignore numpy's warnings.
     """
-    tau = diff / (2.0 * apr)
-    t = 1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    tau, magnitude, t = out
+    np.divide(diff, np.add(apr, apr, out=tau), out=tau)
+    np.multiply(tau, tau, out=t)
+    t += 1.0
+    np.sqrt(t, out=t)
+    t += np.abs(tau, out=magnitude)
+    np.divide(1.0, t, out=t)
     # -t where tau < 0; adding 0.0 turns tau = -0.0 into +0.0, which keeps t
-    t = np.copysign(t, tau + 0.0)
-    first_order = np.abs(apr) < 1e-36 * np.abs(diff)
-    if first_order.any():  # angle underflows; first-order tangent
-        t = np.where(first_order, apr / diff, t)
+    np.copysign(t, np.add(tau, 0.0, out=tau), out=t)
+    if (magnitude > 1e35).any():  # elementwise, for max would miss a large |tau| beside a NaN
+        first_order = np.abs(apr) < 1e-36 * np.abs(diff)
+        if first_order.any():  # angle underflows; first-order tangent
+            np.copyto(t, apr / diff, where=first_order)
     return t
 
 
@@ -471,11 +482,12 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
                 live = live[keep]
                 threshold = threshold[keep]
                 work = np.ascontiguousarray(work[:, :, keep])
+            tangent = np.empty((3, live.size))  # _tangents' buffers
             for p, r in pairs:
                 row_p = work[p]
                 row_r = work[r]
                 apr = row_p[r]
-                t = _tangents(apr, row_r[r] - row_p[p])
+                t = _tangents(apr, row_r[r] - row_p[p], tangent)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 new_p = c * row_p - s * row_r
@@ -503,23 +515,24 @@ def _round_robin_steps(m: int) -> tuple:
     Step j pairs every index with another (the circle method: m - 1 stays, the
     rest turn), so each pair meets once per sweep.  Row j of each array is
     step j: the flat indices, in an m x m matrix, of the entries (p, r), then
-    (r, p), (r, r) and (p, p) of its m / 2 pairs p < r, then, for each index,
-    its partner, the number of its pair and its sign (-1.0 for the p of its
-    pair, 1.0 for the r), about 8 KB in all at m = 16.
+    (r, p), (r, r) and (p, p) of its m / 2 pairs p < r; for each index, its
+    partner; and, for each index, where its c and then its sign * s sit in
+    the step's [c; s; -s] array of its pairs (sign is -1 for the p of a
+    pair, 1 for the r), about 10 KB in all at m = 16.
     """
     h = m // 2
     pivots = np.empty((m - 1, 4 * h), dtype=np.intp)
     partner = np.empty((m - 1, m), dtype=np.intp)
-    pair = np.empty((m - 1, m), dtype=np.intp)
-    sign = np.ones((m - 1, m, 1))
+    gather = np.empty((m - 1, 2 * m), dtype=np.intp)
     for j in range(m - 1):
         pairs = [(j, m - 1)] + [((j + i) % (m - 1), (j - i) % (m - 1)) for i in range(1, h)]
         p, r = np.sort(np.array(pairs), axis=1).T
         pivots[j] = np.concatenate([p * m + r, r * m + p, r * m + r, p * m + p])
         partner[j, p], partner[j, r] = r, p
-        pair[j, p] = pair[j, r] = np.arange(h)
-        sign[j, p] = -1.0
-    return pivots, partner, pair, sign
+        gather[j, p] = gather[j, r] = np.arange(h)
+        gather[j, m + p] = 2 * h + np.arange(h)
+        gather[j, m + r] = h + np.arange(h)
+    return pivots, partner, gather
 
 
 def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
@@ -543,6 +556,15 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
     column update rotates with the matrix's, so the eigenvalues are the same
     bits either way.  The bits differ from the cyclic kernels'.  ``stack`` is
     not modified.
+
+    A step rotates the work stack in place.  Its buffers (pivots, tangents,
+    each index's c and sign * s, the partner rows or columns) are made when
+    the solve starts and again only when matrices leave, and every ufunc
+    writes into them.  Each entry still becomes c * x + sign * s * y with one
+    rounding per operation: the partners are gathered before anything is
+    scaled, sign * s is -s or s, both exact, and ``_tangents`` keeps the
+    cyclic formulas, so the bits are those of a step that allocates its
+    results.
     """
     k, n, _ = stack.shape
     m = n + n % 2
@@ -562,7 +584,7 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
     q = np.empty((k, n, n)) if vectors else None
     steps = _round_robin_steps(m)
     with np.errstate(all="ignore"):  # see _tangents
-        for _ in range(_SWEEP_CAP):
+        for sweep in range(_SWEEP_CAP):
             done = _off_norms(work[:m], strictly_upper) <= threshold
             if done.any():
                 finished = live[done]
@@ -579,22 +601,44 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
                 live = live[keep]
                 threshold = threshold[keep]
                 work = np.ascontiguousarray(work[:, :, keep])
-            for pivots, partner, pair, sign in zip(*steps):
-                # work is contiguous, so the (m * m, live) reshape is a view
-                pivot = work.reshape(-1, live.size)[pivots]
+            if sweep == 0 or done.any():  # the step's buffers, once per live count
+                size = live.size
+                flat = work.reshape(-1, size)  # a view, for work is contiguous
+                pivot = np.empty((4 * h, size))
+                diff, *tangent = np.empty((4, h, size))  # the diagonal gaps, then _tangents' three
+                rotation = np.empty((3 * h, size))
+                cos, sin, minus_sin = rotation.reshape(3, h, size)  # of each pair
+                cs = np.empty((2 * m, size))
+                c, s = cs[:m], cs[m:]  # of each index: c and sign * s
+                gathered = np.empty(work.shape)  # the partner rows, then the partner columns
+                rows, matrix = gathered[:m], work[:m]
+            # every index is in range, and mode="clip" spares np.take the copy
+            # of out that the default mode makes
+            for pivots, partner, gather in zip(*steps):
+                np.take(flat, pivots, axis=0, out=pivot, mode="clip")
                 apr = pivot[:h]
-                t = _tangents(apr, pivot[2 * h:3 * h] - pivot[3 * h:])
-                t[apr == 0.0] = 0.0  # a zero pivot leaves its pair unrotated
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
+                t = _tangents(apr, np.subtract(pivot[2 * h:3 * h], pivot[3 * h:], out=diff), tangent)
+                if not apr.all():  # a zero pivot, 0.0 or -0.0, leaves its pair unrotated
+                    t[apr == 0.0] = 0.0
+                np.multiply(t, t, out=cos)
+                cos += 1.0
+                np.sqrt(cos, out=cos)
+                np.divide(1.0, cos, out=cos)
+                np.multiply(t, cos, out=sin)
+                np.negative(sin, out=minus_sin)
+                np.take(rotation, gather, axis=0, out=cs, mode="clip")
                 # index i of a pair (p, r) becomes c * i + sign * s * partner,
-                # row i for the rows, column i for the columns
-                c = c[pair]
-                s = s[pair] * sign
-                matrix = work[:m]
-                matrix[...] = c[:, None] * matrix + s[:, None] * matrix[partner]
-                work = c * work + s * work[:, partner]
-                work.reshape(-1, live.size)[pivots[:2 * h]] = 0.0  # (p, r) and (r, p)
+                # row i for the rows, column i for the columns; the partners
+                # are gathered before anything is scaled
+                np.take(matrix, partner, axis=0, out=rows, mode="clip")
+                rows *= s[:, None]
+                matrix *= c[:, None]
+                matrix += rows
+                np.take(work, partner, axis=1, out=gathered, mode="clip")
+                gathered *= s
+                work *= c
+                work += gathered
+                flat[pivots[:2 * h]] = 0.0  # (p, r) and (r, p)
     raise ConvergenceError("Jacobi sweep cap reached without convergence")
 
 

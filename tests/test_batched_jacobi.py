@@ -13,6 +13,7 @@ stack, and eigenvalues that agree with LAPACK's.
 
 import ast
 import collections
+import hashlib
 import warnings
 from pathlib import Path
 
@@ -280,8 +281,68 @@ def _round_robin_set(rng: np.random.Generator, n: int) -> list:
     ]
 
 
-@pytest.mark.parametrize("n", [12, 13, 16, 17, 32])
-def test_round_robin_bits_do_not_depend_on_the_stack(n):
+def _first_order_set(rng: np.random.Generator, n: int) -> list:
+    """Matrices that reach the round-robin kernel's rare branches.
+
+    The first is diagonally dominant: the pivots of the first step are
+    1e-40..1e-30, far below their diagonal gaps of 1e10 (first-order
+    tangent), while the other off-diagonal entries keep the sweeps going.
+    The second has exact 0.0 and -0.0 pivots, the third is the all-ones
+    matrix scaled by 2**-1040 (subnormal entries).
+    """
+    a = _symmetric(rng.standard_normal((n, n))) + np.diag(np.arange(1.0, n + 1.0) * 1e10)
+    m = n + n % 2
+    p, r = np.divmod(spectral._round_robin_steps(m)[0][0, :m // 2], m)
+    inside = r < n  # odd n pairs one index with the zero padding
+    tiny = np.logspace(-40.0, -30.0, inside.sum()) * rng.choice([-1.0, 1.0], inside.sum())
+    a[p[inside], r[inside]] = a[r[inside], p[inside]] = tiny
+    return [a, _mixed(rng, n, 4), np.ones((n, n)) * 2.0**-1040]
+
+
+# SHA-256 of the eigenvalues without vectors, then the eigenvalues and the
+# eigenvectors with them, of the round-robin kernel on one stack per size
+# (the seven kinds of _round_robin_set and _first_order_set's three)
+ROUND_ROBIN_SHA256 = {
+    12: "16a1a7c05cb7b57e4877ddc933bd53fe7c9dec0f12359eaf785267db48901a5f",
+    13: "e7d63f41e6a4348aed89e9d211d3a00331341386ae7780225156d6c1b2e18c3c",
+    17: "1f0d98faea38a3441989b74194c7711a39b55eda89629b1d48af8b0d5212797d",
+    24: "6910d10209ae80c18babbab59f0a96dc48475e313420d999c6451df6606ad0e7",
+    32: "09e434af185dcf19702b4d695901018396fa45aa7855f3e56f4d3ebd9befe6c4",
+}
+
+
+def _round_robin_digest(n: int) -> str:
+    rng = np.random.default_rng([n, 20])
+    stack = np.stack(_round_robin_set(rng, n) + _first_order_set(rng, n))
+    digest = hashlib.sha256()
+    for vectors in (False, True):
+        values, q = _jacobi_round_robin(stack, vectors)
+        digest.update(values.tobytes())
+        if vectors:
+            digest.update(q.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(ROUND_ROBIN_SHA256))
+def test_round_robin_bits_are_pinned(n):
+    assert _round_robin_digest(n) == ROUND_ROBIN_SHA256[n]
+
+
+@pytest.mark.parametrize("n", sorted(ROUND_ROBIN_SHA256))
+def test_first_order_tangents_occur_in_the_first_step(n):
+    a = _first_order_set(np.random.default_rng([n, 20]), n)[0]
+    m = n + n % 2
+    h = m // 2
+    scale, _ = spectral._prescale(a[None])
+    scaled = np.zeros((m, m))
+    scaled[:n, :n] = a * scale[0]
+    pivot = scaled.ravel()[spectral._round_robin_steps(m)[0][0]]
+    apr, diff = pivot[:h], pivot[2 * h:3 * h] - pivot[3 * h:]
+    assert (np.abs(apr) < 1e-36 * np.abs(diff)).any()
+
+
+@pytest.mark.parametrize("n", [12, 13, 16, 17, 24, 32])
+def test_round_robin_bits_do_not_depend_on_the_stack(n, monkeypatch):
     rng = np.random.default_rng([n, 21])
     kinds = _round_robin_set(rng, n)
     others = [a for _ in range(6) for a in _round_robin_set(rng, n)]
@@ -301,6 +362,30 @@ def test_round_robin_bits_do_not_depend_on_the_stack(n):
                 if vectors:
                     assert q[at].tobytes() == alone[vectors][i][1][0].tobytes(), (size, i)
             assert stack.tobytes() == before
+    if n == 24:
+        # a stack of 72 whose members leave at different sweeps, so the step
+        # buffers are made again partway through; every matrix keeps its bytes
+        kinds = kinds + [_mixed(rng, n, kind) for kind in (3, 4, 6, 8)]
+        stack = np.stack([kinds[i % len(kinds)] * (1.0 + i // len(kinds)) for i in range(72)])
+        before = stack.tobytes()
+        off_norms = spectral._off_norms
+        live = []  # the stack's size at each stopping test
+
+        def counting_off_norms(block, strictly_upper):
+            live.append(block.shape[2])
+            return off_norms(block, strictly_upper)
+
+        monkeypatch.setattr(spectral, "_off_norms", counting_off_norms)
+        for vectors in (False, True):
+            live.clear()
+            values, q = _jacobi_round_robin(stack, vectors)
+            assert len(set(live)) >= 4, live  # members leave at three stopping tests or more
+            for i, a in enumerate(stack):
+                lam, qa = _jacobi_round_robin(a[None], vectors)
+                assert values[i].tobytes() == lam[0].tobytes(), (i, vectors)
+                if vectors:
+                    assert q[i].tobytes() == qa[0].tobytes(), i
+        assert stack.tobytes() == before
 
 
 @pytest.mark.parametrize("n", [12, 13, 16, 17, 32])

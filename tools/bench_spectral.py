@@ -11,12 +11,14 @@ already there, with the seed (42), the Python and numpy versions and the
 core count.  A run under a label that is there already keeps, figure by
 figure, the lower of the old and the new one and counts the runs, so
 alternating runs of two commits give each its best over the same stretch of
-time; a figure that the earlier runs lack is taken as it is:
+time.  Solve figures are matched by (n, k, vectors), so an earlier record
+made with another grid merges cell by cell; a figure that the earlier runs
+lack is taken as it is:
 
 - ``solve_ms_per_matrix``: ``spectral._solve_many`` on k distinct random
   symmetric n x n matrices, with and without eigenvectors, in ms per matrix
-  (the best of a few repeats), for n in 4, 8, 12, 13, 16, 32 and k in 1, 4,
-  12, 36;
+  (the best of a few repeats), for n in 4, 8, 12, 13, 16, 24, 32 and k in
+  1, 4, 12, 36, 72;
 - ``campaign_ms_per_trial``: ``run_campaign`` with the default functions
   and maps at one dimension (2, 4, 8, 16 and 32) and over dims 8..16 (key
   ``"8..16"``, 24 trials, so a chunk holds several trials of each size), in
@@ -38,8 +40,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 SEED = 42
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (4, 8, 12, 13, 16, 32)
-GROUPS = (1, 4, 12, 36)
+SIZES = (4, 8, 12, 13, 16, 24, 32)
+GROUPS = (1, 4, 12, 36, 72)
 # (lo, hi) dimension range -> trials
 CAMPAIGN_TRIALS = {(2, 2): 24, (4, 4): 24, (8, 8): 24, (16, 16): 10, (32, 32): 2, (8, 16): 24}
 
@@ -81,6 +83,22 @@ def campaign_times(opineq, seed: int) -> dict:
     return out
 
 
+def merged(earlier, solves: list, campaigns: dict) -> dict:
+    """A label's record after one more run: each figure the lower of the old
+    and the new, solve figures matched by (n, k, vectors)."""
+    if earlier is None:
+        return {"runs": 1, "solve_ms_per_matrix": solves, "campaign_ms_per_trial": campaigns}
+    old = {(row["n"], row["k"], row["vectors"]): row["ms"] for row in earlier["solve_ms_per_matrix"]}
+    for row in solves:
+        row["ms"] = min(row["ms"], old.get((row["n"], row["k"], row["vectors"]), row["ms"]))
+    before = earlier["campaign_ms_per_trial"]
+    return {
+        "runs": earlier["runs"] + 1,
+        "solve_ms_per_matrix": solves,
+        "campaign_ms_per_trial": {key: min(ms, before.get(key, ms)) for key, ms in campaigns.items()},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="change")
@@ -100,19 +118,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cores": os.cpu_count(),
     })
-    solves = solve_times(np, spectral, SEED)
-    campaigns = campaign_times(opineq, SEED)
-    earlier = record.get(args.label)
-    if earlier is not None:
-        for row, old in zip(solves, earlier["solve_ms_per_matrix"]):
-            row["ms"] = min(row["ms"], old["ms"])
-        before = earlier["campaign_ms_per_trial"]
-        campaigns = {key: min(ms, before.get(key, ms)) for key, ms in campaigns.items()}
-    record[args.label] = {
-        "runs": 1 + (earlier["runs"] if earlier is not None else 0),
-        "solve_ms_per_matrix": solves,
-        "campaign_ms_per_trial": campaigns,
-    }
+    record[args.label] = merged(record.get(args.label), solve_times(np, spectral, SEED), campaign_times(opineq, SEED))
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -14,9 +14,16 @@ State transition and output, with all arithmetic mod 2**64:
     output  <- z xor (z >> 31)
 
 Doubles in [0, 1) take the top 53 bits of an output word.
+
+The state after n steps is seed + n * GOLDEN, so output n of a stream is
+mix64(seed + n * GOLDEN): ``_words`` reads any outputs of many streams at
+once in that counter form, with numpy's uint64 arithmetic, which wraps mod
+2**64 exactly as the generator's does.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import BadParameter
 
@@ -56,11 +63,38 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * GOLDEN) & MASK64)
 
 
+def _words(outputs, states) -> np.ndarray:
+    """Output ``outputs[t]`` (counted from 1) of a stream at each of ``states``, as a
+    ``(len(outputs), len(states))`` uint64 array of the words ``next_u64`` returns."""
+    z = (np.asarray(outputs, dtype=np.uint64)[:, None] * np.uint64(GOLDEN)
+         + np.asarray(states, dtype=np.uint64))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """``SplitMix64.uniform()`` of each word: its top 53 bits times 2**-53, both exact."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
 class SplitMix64:
     """Sequential SplitMix64 stream."""
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
+
+    def _skip(self, count: int) -> int:
+        """The state before the next ``count`` outputs, which the stream then skips.
+
+        ``_words(range(1, count + 1), [state])`` reads them.
+        """
+        state = self._state
+        self._state = (state + count * GOLDEN) & MASK64
+        return state
 
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64

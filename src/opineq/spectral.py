@@ -15,7 +15,12 @@ bits: eigenvalues and, with eigenvectors, Q^T rows rotated by each matrix's
 own (c, s), the same zero-pivot skips and the same stable ordering.  From
 size 12 (``_ROUND_ROBIN_MIN``) the order is round-robin:
 ``_jacobi_round_robin`` rotates n / 2 disjoint pairs in one numpy step, on
-one matrix or on a stack, so a sweep is n - 1 steps.  ``_solve_many``
+one matrix or on a stack, so a sweep is n - 1 steps.  A step is a fixed
+list of about 30 numpy calls into buffers, and views of them, made once per
+count of unconverged matrices.  At odd n the pair with the zero padding
+holds c = 1 and s = 0 in fixed slots and computes no tangent, and one guard
+in ``_tangents`` (every |tau| <= 1e35) sends a step down the rare branch
+only for a first-order tangent or a zero pivot.  ``_solve_many``
 picks the kernel by size and, below 12, by the number of distinct
 same-size matrices.  Every eigenvalues-only solve goes through
 it (``_eigenvalues_many``): each Loewner comparison, alone or judged
@@ -401,17 +406,21 @@ def _off_norms(block: np.ndarray, strictly_upper: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * squares.reshape(len(squares), -1).sum(axis=1))
 
 
-def _tangents(apr: np.ndarray, diff: np.ndarray, out) -> np.ndarray:
+def _tangents(apr: np.ndarray, diff: np.ndarray, out):
     """The tangent of each rotation angle, by ``_cyclic_jacobi``'s formulas.
 
     ``out`` is three arrays shaped like ``apr``, which are written in place,
     the tangents into the last.  Each operation is the cyclic kernel's, on
     the same operands in the same order, so the bits match: 2 * apr is
-    computed as apr + apr, which is exact.  The first-order tangent is
-    computed only when some |tau| > 1e35, since |apr| < 1e-36 * |diff|
-    implies |tau| > 3.7e35 (4.9e35 unless 1e-36 * |diff| is subnormal), and a
-    NaN tau (apr = diff = 0) passes neither test.  A zero pivot divides by
-    zero, so the callers ignore numpy's warnings.
+    computed as apr + apr, which is exact.  One guard, every |tau| <= 1e35,
+    passes on the common path.  It fails for both rare cases: |apr| < 1e-36
+    * |diff| implies |tau| > 3.7e35 (4.9e35 unless 1e-36 * |diff| is
+    subnormal), and a zero pivot gives an infinite tau, or a NaN one when
+    diff is zero too, which fails every comparison.  Only then are the
+    first-order tangents computed and each zero pivot's tangent set to 0.
+    Returns the mask of zero pivots, 0.0 or -0.0, or ``None`` when there are
+    none.  A zero pivot divides by zero, so the callers ignore numpy's
+    warnings.
     """
     tau, magnitude, t = out
     np.divide(diff, np.add(apr, apr, out=tau), out=tau)
@@ -422,11 +431,16 @@ def _tangents(apr: np.ndarray, diff: np.ndarray, out) -> np.ndarray:
     np.divide(1.0, t, out=t)
     # -t where tau < 0; adding 0.0 turns tau = -0.0 into +0.0, which keeps t
     np.copysign(t, np.add(tau, 0.0, out=tau), out=t)
-    if (magnitude > 1e35).any():  # elementwise, for max would miss a large |tau| beside a NaN
-        first_order = np.abs(apr) < 1e-36 * np.abs(diff)
-        if first_order.any():  # angle underflows; first-order tangent
-            np.copyto(t, apr / diff, where=first_order)
-    return t
+    # counted elementwise, for max would miss a large |tau| beside a NaN
+    if np.count_nonzero(magnitude <= 1e35) == magnitude.size:
+        return None
+    first_order = np.abs(apr) < 1e-36 * np.abs(diff)
+    np.copyto(t, apr / diff, where=first_order)  # angle underflows; first-order tangent
+    zero = apr == 0.0
+    if not zero.any():
+        return None
+    t[zero] = 0.0
+    return zero
 
 
 def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
@@ -483,11 +497,11 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
                 threshold = threshold[keep]
                 work = np.ascontiguousarray(work[:, :, keep])
             tangent = np.empty((3, live.size))  # _tangents' buffers
+            t = tangent[2]
             for p, r in pairs:
                 row_p = work[p]
                 row_r = work[r]
-                apr = row_p[r]
-                t = _tangents(apr, row_r[r] - row_p[p], tangent)
+                zero = _tangents(row_p[r], row_r[r] - row_p[p], tangent)
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 new_p = c * row_p - s * row_r
@@ -497,10 +511,9 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
                 new_r[r] = s * new_r[p] + c * new_r[r]
                 new_p[r] = 0.0
                 new_r[p] = 0.0
-                if not apr.all():  # a zero pivot leaves its matrix untouched
-                    skip = apr == 0.0
-                    new_p = np.where(skip, row_p, new_p)
-                    new_r = np.where(skip, row_r, new_r)
+                if zero is not None:  # a zero pivot leaves its matrix untouched
+                    new_p = np.where(zero, row_p, new_p)
+                    new_r = np.where(zero, row_r, new_r)
                 work[p] = new_p
                 work[r] = new_r
                 work[:, p] = new_p[:n]
@@ -509,30 +522,36 @@ def _jacobi_batch(stack: np.ndarray, vectors: bool = False):
 
 
 @cache
-def _round_robin_steps(m: int) -> tuple:
-    """The m - 1 steps of a round-robin sweep over an even number m of indices.
+def _round_robin_steps(n: int) -> tuple:
+    """The m - 1 steps of a round-robin sweep over the m = n + n % 2 indices of an n x n matrix.
 
     Step j pairs every index with another (the circle method: m - 1 stays, the
-    rest turn), so each pair meets once per sweep.  Row j of each array is
-    step j: the flat indices, in an m x m matrix, of the entries (p, r), then
-    (r, p), (r, r) and (p, p) of its m / 2 pairs p < r; for each index, its
-    partner; and, for each index, where its c and then its sign * s sit in
-    the step's [c; s; -s] array of its pairs (sign is -1 for the p of a
-    pair, 1 for the r), about 10 KB in all at m = 16.
+    rest turn), so each pair meets once per sweep.  Its first pair is
+    (j, m - 1), the pad pair when n is odd.  Step j is four index arrays: the
+    flat indices, in an m x m matrix, of the entries (p, r), then (r, r) and
+    (p, p) of its pairs p < r but the pad pair; those of (p, r) and (r, p) of
+    all its m / 2 pairs; for each index, its partner; and, for each index,
+    where its c and then its sign * s sit in the step's [c; s; -s] array of
+    its pairs (sign is -1 for the p of a pair, 1 for the r), about 10 KB in
+    all at n = 16.
     """
+    m = n + n % 2
     h = m // 2
-    pivots = np.empty((m - 1, 4 * h), dtype=np.intp)
-    partner = np.empty((m - 1, m), dtype=np.intp)
-    gather = np.empty((m - 1, 2 * m), dtype=np.intp)
+    steps = []
     for j in range(m - 1):
         pairs = [(j, m - 1)] + [((j + i) % (m - 1), (j - i) % (m - 1)) for i in range(1, h)]
         p, r = np.sort(np.array(pairs), axis=1).T
-        pivots[j] = np.concatenate([p * m + r, r * m + p, r * m + r, p * m + p])
-        partner[j, p], partner[j, r] = r, p
-        gather[j, p] = gather[j, r] = np.arange(h)
-        gather[j, m + p] = 2 * h + np.arange(h)
-        gather[j, m + r] = h + np.arange(h)
-    return pivots, partner, gather
+        pr, rp, rr, pp = p * m + r, r * m + p, r * m + r, p * m + p
+        partner = np.empty(m, dtype=np.intp)
+        partner[p], partner[r] = r, p
+        gather = np.empty(2 * m, dtype=np.intp)
+        gather[p] = gather[r] = np.arange(h)
+        gather[m + p] = 2 * h + np.arange(h)
+        gather[m + r] = h + np.arange(h)
+        rotated = slice(n % 2, h)  # every pair but the pad pair
+        pivots = np.concatenate([pr[rotated], rr[rotated], pp[rotated]])
+        steps.append((pivots, np.concatenate([pr, rp]), partner, gather))
+    return tuple(steps)
 
 
 def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
@@ -558,17 +577,22 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
     not modified.
 
     A step rotates the work stack in place.  Its buffers (pivots, tangents,
-    each index's c and sign * s, the partner rows or columns) are made when
-    the solve starts and again only when matrices leave, and every ufunc
-    writes into them.  Each entry still becomes c * x + sign * s * y with one
-    rounding per operation: the partners are gathered before anything is
-    scaled, sign * s is -s or s, both exact, and ``_tangents`` keeps the
-    cyclic formulas, so the bits are those of a step that allocates its
-    results.
+    each index's c and sign * s, the partner rows or columns) and their views
+    are made when the solve starts and again only when matrices leave, and
+    every ufunc writes into them.  The pad pair of odd n always has a zero
+    pivot, so it is left out of the pivots and the tangents: its slots in
+    the [c; s; -s] buffer hold 1, +0.0 and -0.0 from the start, the values a
+    zero pivot gives.  ``_tangents``' one guard sends a step down the rare
+    branch only for a first-order tangent or a zero pivot.  Each entry still
+    becomes c * x + sign * s * y with one rounding per operation: the
+    partners are gathered before anything is scaled, sign * s is -s or s,
+    both exact, and ``_tangents`` keeps the cyclic formulas, so the bits are
+    those of a step that allocates its results.
     """
     k, n, _ = stack.shape
     m = n + n % 2
     h = m // 2
+    rotated = h - n % 2  # the pairs whose tangents a step computes
     scale, threshold = _prescale(stack)
     # work[i, j] holds entry (i, j) of every live matrix; with vectors, work[m + i, j]
     # holds entry (i, j) of its Q
@@ -582,7 +606,7 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
     strictly_upper = np.triu(np.ones((m, m)), 1)
     values = np.empty((k, n))
     q = np.empty((k, n, n)) if vectors else None
-    steps = _round_robin_steps(m)
+    steps = _round_robin_steps(n)
     with np.errstate(all="ignore"):  # see _tangents
         for sweep in range(_SWEEP_CAP):
             done = _off_norms(work[:m], strictly_upper) <= threshold
@@ -601,44 +625,46 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
                 live = live[keep]
                 threshold = threshold[keep]
                 work = np.ascontiguousarray(work[:, :, keep])
-            if sweep == 0 or done.any():  # the step's buffers, once per live count
+            if sweep == 0 or done.any():  # the step's buffers and views, once per live count
                 size = live.size
                 flat = work.reshape(-1, size)  # a view, for work is contiguous
-                pivot = np.empty((4 * h, size))
-                diff, *tangent = np.empty((4, h, size))  # the diagonal gaps, then _tangents' three
+                pivot = np.empty((3 * rotated, size))
+                apr, r_r, p_p = pivot.reshape(3, rotated, size)  # (p, r), (r, r), (p, p)
+                diff, *tangent = np.empty((4, rotated, size))  # the diagonal gaps, then _tangents' three
+                t = tangent[2]
                 rotation = np.empty((3 * h, size))
-                cos, sin, minus_sin = rotation.reshape(3, h, size)  # of each pair
+                cos, sin, minus_sin = rotation.reshape(3, h, size)  # of each pair, the pad pair first
+                cos[:n % 2], sin[:n % 2], minus_sin[:n % 2] = 1.0, 0.0, -0.0
+                cos, sin, minus_sin = cos[n % 2:], sin[n % 2:], minus_sin[n % 2:]
                 cs = np.empty((2 * m, size))
                 c, s = cs[:m], cs[m:]  # of each index: c and sign * s
+                c_row, s_row = c[:, None], s[:, None]
                 gathered = np.empty(work.shape)  # the partner rows, then the partner columns
                 rows, matrix = gathered[:m], work[:m]
-            # every index is in range, and mode="clip" spares np.take the copy
-            # of out that the default mode makes
-            for pivots, partner, gather in zip(*steps):
-                np.take(flat, pivots, axis=0, out=pivot, mode="clip")
-                apr = pivot[:h]
-                t = _tangents(apr, np.subtract(pivot[2 * h:3 * h], pivot[3 * h:], out=diff), tangent)
-                if not apr.all():  # a zero pivot, 0.0 or -0.0, leaves its pair unrotated
-                    t[apr == 0.0] = 0.0
+            # every index is in range, and mode="clip" spares take the copy of
+            # out that the default mode makes
+            for pivots, zeroed, partner, gather in steps:
+                flat.take(pivots, axis=0, out=pivot, mode="clip")
+                _tangents(apr, np.subtract(r_r, p_p, out=diff), tangent)  # a zero pivot gets t = 0
                 np.multiply(t, t, out=cos)
                 cos += 1.0
                 np.sqrt(cos, out=cos)
                 np.divide(1.0, cos, out=cos)
                 np.multiply(t, cos, out=sin)
                 np.negative(sin, out=minus_sin)
-                np.take(rotation, gather, axis=0, out=cs, mode="clip")
+                rotation.take(gather, axis=0, out=cs, mode="clip")
                 # index i of a pair (p, r) becomes c * i + sign * s * partner,
                 # row i for the rows, column i for the columns; the partners
                 # are gathered before anything is scaled
-                np.take(matrix, partner, axis=0, out=rows, mode="clip")
-                rows *= s[:, None]
-                matrix *= c[:, None]
+                matrix.take(partner, axis=0, out=rows, mode="clip")
+                rows *= s_row
+                matrix *= c_row
                 matrix += rows
-                np.take(work, partner, axis=1, out=gathered, mode="clip")
+                work.take(partner, axis=1, out=gathered, mode="clip")
                 gathered *= s
                 work *= c
                 work += gathered
-                flat[pivots[:2 * h]] = 0.0  # (p, r) and (r, p)
+                flat[zeroed] = 0.0  # (p, r) and (r, p)
     raise ConvergenceError("Jacobi sweep cap reached without convergence")
 
 
@@ -650,10 +676,11 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
 _BATCH_MIN = 12
 _BATCH_MIN_VECTORS = 8
 # Matrices of at least this size go to the round-robin kernel, alone or
-# stacked.  On one matrix it takes up to 1.5 times the list kernel's time at
-# sizes 12 and 13 and less from 14 on, on a stack of 4 to 12 far less than
-# either cyclic kernel, and campaigns at sizes 12..16 run faster with it; at
-# 9..11 they do not (measured per size, see CHANGES.md).
+# stacked.  On one matrix it takes 0.85 to 0.9 times the list kernel's time
+# at sizes 12 and 13 without eigenvectors and less with them or from 14 on,
+# on a stack of 4 to 12 far less than either cyclic kernel, and campaigns at
+# sizes 12..16 run faster with it; at 9..11 they do not (measured per size,
+# see CHANGES.md).
 _ROUND_ROBIN_MIN = 12
 
 

@@ -10,9 +10,12 @@ the ``scale`` its failure threshold grows with; slack below
 reproducer record.
 
 Trials are independent, and a trial's bits depend only on its own seed, so
-the campaign runs them in chunks.  A chunk draws every trial's seeds and
-input matrices, then decomposes what its trials start from in two waves of
-one ``spectral._decompose_many`` dispatch each.  The first holds the drawn
+the campaign runs them in chunks.  A chunk draws every trial's scalars from
+the trial's stream, in trial order, and then builds the chunk's drawn
+matrices, one stacked Givens pass per size (``_draw_factors``) with the
+words of every matrix's own stream read in counter form.  Then it
+decomposes what its trials start from in two waves of one
+``spectral._decompose_many`` dispatch each.  The first holds the drawn
 A, sandwich base, rho and sigma of every trial and the map images Phi(A)
 and Phi(base), which need nothing solved first.  The second holds the three
 sandwiched matrices built from first-wave roots: base^{-1/2} B base^{-1/2},
@@ -27,6 +30,7 @@ reports are byte-for-byte the same for any chunking.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -61,7 +65,7 @@ from .perspectives import (
     tsallis_entropy_bounds,
     von_neumann_lower_bound,
 )
-from .rng import SplitMix64, _checked_seed, derive_seed
+from .rng import GOLDEN, MASK64, SplitMix64, _checked_seed, _uniforms, _words, derive_seed
 from .spectral import (
     SymmetricMatrix,
     _array_from_payload,
@@ -280,22 +284,118 @@ def registered_inequalities() -> tuple[str, ...]:
     return tuple(_FAMILY_OF_LABEL)
 
 
+class _Factor(NamedTuple):
+    """A matrix to draw from one SplitMix64 stream: Q diag(lam) Q^T, or Q alone.
+
+    ``state`` is the stream's state before its first word.  The ``kind``
+    fixes the words read before Q's angles: none for "orthogonal" (Q alone,
+    as ``random_orthogonal`` draws it), one for the forced endpoints and dim
+    for lam in [m, M] for "spectrum" (``random_symmetric_with_spectrum``),
+    dim for the weights for "density" (``random_density``).
+    ``_draw_factors`` builds them.
+    """
+
+    kind: str
+    state: int
+    dim: int
+    m: float = 0.0
+    M: float = 0.0
+
+
+@cache
+def _givens_waves(dim: int) -> tuple:
+    """(the output number of each angle, in wave order; each wave's (angles, i, j) slices).
+
+    Rotation (i, j) is the ``i * (2 * dim - i - 1) // 2 + j - i``-th of
+    ``random_orthogonal``'s row-major order.  It needs every earlier rotation
+    that touches column i or j, so it goes in wave i + j - 1: 2 * dim - 3
+    waves, each of disjoint pairs, with i rising and j falling.
+    """
+    outputs = []
+    waves = []
+    for wave in range(2 * dim - 3):
+        lo, hi = max(0, wave + 2 - dim), wave // 2 + 1  # the i of the wave
+        start = len(outputs)
+        outputs += [i * (2 * dim - i - 1) // 2 + (wave + 1 - i) - i for i in range(lo, hi)]
+        waves.append((slice(start, len(outputs)), slice(lo, hi), slice(wave + 1 - lo, wave + 1 - hi, -1)))
+    return np.array(outputs), tuple(waves)
+
+
+def _givens(states: list, dim: int) -> np.ndarray:
+    """``random_orthogonal``'s Q for the angles after each of ``states``, in a ``(k, dim, dim)`` stack.
+
+    Rotation (i, j) turns columns i and j of every matrix of the stack into
+    c * x - s * y and s * x + c * y, with one rounding per operation.  The
+    waves of disjoint pairs keep each column's order of updates, so each
+    matrix gets the bits of the rotations applied one at a time in
+    row-major order, whatever else shares the stack.  Each Q is C-contiguous.
+    """
+    outputs, waves = _givens_waves(dim)
+    theta = 2.0 * np.pi * _uniforms(_words(outputs, states))  # uniform(0, 2 pi), one row per rotation
+    cos, sin = np.cos(theta)[:, :, None], np.sin(theta)[:, :, None]
+    cols = np.repeat(np.eye(dim)[:, None], len(states), axis=1)  # cols[i, matrix] is that matrix's column i
+    for angles, i, j in waves:
+        c, s, col_i, col_j = cos[angles], sin[angles], cols[i], cols[j]
+        cols[i], cols[j] = c * col_i - s * col_j, s * col_i + c * col_j
+    return cols.transpose(1, 2, 0).copy()
+
+
+def _draw_factors(factors) -> list:
+    """Each factor's matrix: a ``SymmetricMatrix``, or Q alone for an "orthogonal" one.
+
+    The factors of one size are drawn together: their words in counter form,
+    every Q in one ``_givens`` stack, then Q diag(lam) Q^T of each, so each
+    matrix has the bits it has alone.
+    """
+    drawn = [None] * len(factors)
+    by_size: dict = {}
+    for index, factor in enumerate(factors):
+        by_size.setdefault(factor.dim, []).append(index)
+    for dim, members in by_size.items():
+        group = [factors[index] for index in members]
+        before = {"orthogonal": 0, "spectrum": dim + 1, "density": dim}  # words before the angles
+        q = _givens([(f.state + before[f.kind] * GOLDEN) & MASK64 for f in group], dim)
+        words = _words(range(1, dim + 2), [f.state for f in group])  # the words before the angles
+        x = _uniforms(words)
+        for j, (index, f) in enumerate(zip(members, group)):
+            if f.kind == "orthogonal":
+                drawn[index] = q[j]
+                continue
+            if f.kind == "spectrum":
+                lam = f.m + (f.M - f.m) * x[1:, j]
+                if words[0, j] % 4 == 0:  # one draw in four forces both endpoints
+                    lam[0] = f.m
+                    lam[-1] = f.M
+            else:
+                raw = 0.05 + 0.95 * x[:dim, j]
+                weights = raw / raw.sum()
+                lam = DENSITY_EIGENVALUE_FLOOR + (1.0 - dim * DENSITY_EIGENVALUE_FLOOR) * weights
+            drawn[index] = SymmetricMatrix((q[j] * lam) @ q[j].T)
+    return drawn
+
+
 def random_orthogonal(rng: SplitMix64, dim: int) -> np.ndarray:
     """Orthogonal matrix composed of one Givens rotation per index pair.
 
-    The columns are lists of Python floats, whose products and sums round
-    as numpy's elementwise ones do; numpy's cos and sin of each angle, one
-    call each, keep the bits of any platform's numpy.  C-contiguous.
+    The angles are ``rng``'s next dim (dim - 1) / 2 uniforms in [0, 2 pi),
+    one per pair (i, j) in row-major order, and the stream moves past them.
+    Rotation (i, j) turns columns i and j of the identity's product so far.
+    The rotations run in waves of disjoint pairs, rotation (i, j) in wave
+    i + j - 1, which keeps each column's order of updates.  numpy's cos and
+    sin run on arrays of angles; a test checks that they give the bits of
+    one call per angle on every angle of a seed-42 campaign at dims 2..16,
+    on this host's numpy.  C-contiguous.
     """
-    cols = [[1.0 if row == col else 0.0 for row in range(dim)] for col in range(dim)]
-    for i in range(dim - 1):
-        for j in range(i + 1, dim):
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            c, s = float(np.cos(theta)), float(np.sin(theta))
-            col_i, col_j = cols[i], cols[j]
-            cols[i] = [c * x - s * y for x, y in zip(col_i, col_j)]
-            cols[j] = [s * x + c * y for x, y in zip(col_i, col_j)]
-    return np.array(cols).T.copy()
+    return _draw_factors([_Factor("orthogonal", rng._skip(dim * (dim - 1) // 2), dim)])[0]
+
+
+def _draw_spectrum(seed: int, dim: int, m: float, M: float) -> _Factor:
+    """The factor of ``random_symmetric_with_spectrum(seed, dim, m, M)``, once its arguments are checked."""
+    if dim < 2:
+        raise BadParameter("dimension must be at least 2")
+    if not m < M:
+        raise BadParameter(f"need m < M, got m={m!r}, M={M!r}")
+    return _Factor("spectrum", seed & MASK64, dim, m, M)
 
 
 def random_symmetric_with_spectrum(seed: int, dim: int, m: float, M: float) -> SymmetricMatrix:
@@ -304,36 +404,19 @@ def random_symmetric_with_spectrum(seed: int, dim: int, m: float, M: float) -> S
     One draw in four (decided by the seeded stream) forces both interval
     endpoints into the spectrum so boundary behaviour gets exercised.
     """
-    if dim < 2:
-        raise BadParameter("dimension must be at least 2")
-    if not m < M:
-        raise BadParameter(f"need m < M, got m={m!r}, M={M!r}")
-    rng = SplitMix64(seed)
-    force_endpoints = rng.below(4) == 0
-    lam = np.array([m + (M - m) * rng.uniform() for _ in range(dim)])
-    if force_endpoints:
-        lam[0] = m
-        lam[-1] = M
-    q = random_orthogonal(rng, dim)
-    return SymmetricMatrix((q * lam) @ q.T)
+    return _draw_factors([_draw_spectrum(seed, dim, m, M)])[0]
 
 
 def random_density(seed: int, dim: int) -> DensityOperator:
     """Random density operator with eigenvalues floored at 1e-3."""
-    return DensityOperator(_draw_density(seed, dim))
+    return DensityOperator(_draw_factors([_draw_density(seed, dim)])[0])
 
 
-def _draw_density(seed: int, dim: int) -> SymmetricMatrix:
-    """The matrix of ``random_density(seed, dim)``, not yet decomposed."""
+def _draw_density(seed: int, dim: int) -> _Factor:
+    """The factor of ``random_density(seed, dim)``'s matrix."""
     if dim < 2:
         raise BadParameter("dimension must be at least 2")
-    rng = SplitMix64(seed)
-    raw = np.array([0.05 + 0.95 * rng.uniform() for _ in range(dim)])
-    weights = raw / raw.sum()
-    floor = DENSITY_EIGENVALUE_FLOOR
-    lam = floor + (1.0 - dim * floor) * weights
-    q = random_orthogonal(rng, dim)
-    return SymmetricMatrix((q * lam) @ q.T)
+    return _Factor("density", seed & MASK64, dim)
 
 
 def random_sandwich_pair(seed: int, dim: int, m: float, M: float) -> OperatorPair:
@@ -342,16 +425,15 @@ def random_sandwich_pair(seed: int, dim: int, m: float, M: float) -> OperatorPai
     The returned pair carries the exact spectral hull of the sandwiched
     matrix, which is contained in the requested [m, M] by construction.
     """
-    base, inner = _draw_sandwich(seed, dim, m, M)
+    base, inner = _draw_factors(_draw_sandwich(seed, dim, m, M))
     return OperatorPair(base, _sandwich_second(base, inner))
 
 
-def _draw_sandwich(seed: int, dim: int, m: float, M: float) -> tuple[SymmetricMatrix, SymmetricMatrix]:
-    """(A, C) of ``random_sandwich_pair(seed, dim, m, M)``, neither decomposed yet."""
+def _draw_sandwich(seed: int, dim: int, m: float, M: float) -> tuple[_Factor, _Factor]:
+    """The factors of (A, C) of ``random_sandwich_pair(seed, dim, m, M)``."""
     _check_positive_interval(m, M)
-    base = random_symmetric_with_spectrum(derive_seed(seed, 1), dim, 0.5, 2.0)
-    inner = random_symmetric_with_spectrum(derive_seed(seed, 2), dim, m, M)
-    return base, inner
+    base = _draw_spectrum(derive_seed(seed, 1), dim, 0.5, 2.0)
+    return base, _draw_spectrum(derive_seed(seed, 2), dim, m, M)
 
 
 def _sandwich_second(base: SymmetricMatrix, inner: SymmetricMatrix) -> SymmetricMatrix:
@@ -418,7 +500,11 @@ class CampaignReport:
 
 
 class _Draw(NamedTuple):
-    """One trial's seeded draws, with nothing solved yet."""
+    """One trial's seeded draws, with nothing solved yet.
+
+    ``_draw_trial`` leaves each matrix as the ``_Factor`` it is drawn from,
+    and ``_drawn`` builds them.
+    """
 
     index: int
     seed: int
@@ -446,7 +532,7 @@ def _draw_trial(spec: TrialSpec, index: int) -> _Draw:
     map_tag = spec.map_set[rng.below(len(spec.map_set))]
     m = 0.3 + 1.2 * rng.uniform()
     M = m + 0.5 + 2.5 * rng.uniform()
-    matrix = random_symmetric_with_spectrum(rng.next_u64(), dim, m, M)
+    matrix = _draw_spectrum(rng.next_u64(), dim, m, M)
     phi, map_info = _make_map(map_tag, dim, rng)
     pair_m = 0.3 + 0.9 * rng.uniform()
     pair_M = pair_m + 0.4 + 1.6 * rng.uniform()
@@ -564,18 +650,31 @@ def _evaluate_trial(draw: _Draw, built: _Built) -> tuple[list, tuple]:
     return evaluated, (jensen_third_term(ctx), kant.classical_rhs - kant.improved_rhs)
 
 
+_MATRICES = ("matrix", "base", "inner", "rho", "sigma")  # the _Draw fields drawn as _Factors
+
+
+def _drawn(chunk: list) -> list:
+    """The chunk's draws with every matrix built, in one ``_draw_factors`` call."""
+    matrices = iter(_draw_factors([getattr(draw, name) for draw in chunk for name in _MATRICES]))
+    return [draw._replace(**{name: next(matrices) for name in _MATRICES}) for draw in chunk]
+
+
 def _chunks(spec: TrialSpec):
-    """The campaign's trial draws, in order, in chunks within ``_CHUNK_BUDGET``."""
+    """The campaign's trial draws, in order, in chunks within ``_CHUNK_BUDGET``.
+
+    Each trial's scalars are drawn from its stream in trial order, and then
+    the chunk's matrices are built together.
+    """
     chunk: list = []
     size = 0
     for index in range(spec.trials):
         draw = _draw_trial(spec, index)
         if chunk and size + draw.dim**2 > _CHUNK_BUDGET:
-            yield chunk
+            yield _drawn(chunk)
             chunk, size = [], 0
         chunk.append(draw)
         size += draw.dim**2
-    yield chunk
+    yield _drawn(chunk)
 
 
 def run_campaign(spec: TrialSpec) -> CampaignReport:

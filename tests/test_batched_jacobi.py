@@ -292,10 +292,10 @@ def _first_order_set(rng: np.random.Generator, n: int) -> list:
     """
     a = _symmetric(rng.standard_normal((n, n))) + np.diag(np.arange(1.0, n + 1.0) * 1e10)
     m = n + n % 2
-    p, r = np.divmod(spectral._round_robin_steps(m)[0][0, :m // 2], m)
-    inside = r < n  # odd n pairs one index with the zero padding
-    tiny = np.logspace(-40.0, -30.0, inside.sum()) * rng.choice([-1.0, 1.0], inside.sum())
-    a[p[inside], r[inside]] = a[r[inside], p[inside]] = tiny
+    rotated = m // 2 - n % 2  # odd n pairs one index with the zero padding, and no pivot is read there
+    p, r = np.divmod(spectral._round_robin_steps(n)[0][0][:rotated], m)
+    tiny = np.logspace(-40.0, -30.0, rotated) * rng.choice([-1.0, 1.0], rotated)
+    a[p, r] = a[r, p] = tiny
     return [a, _mixed(rng, n, 4), np.ones((n, n)) * 2.0**-1040]
 
 
@@ -332,13 +332,52 @@ def test_round_robin_bits_are_pinned(n):
 def test_first_order_tangents_occur_in_the_first_step(n):
     a = _first_order_set(np.random.default_rng([n, 20]), n)[0]
     m = n + n % 2
-    h = m // 2
+    rotated = m // 2 - n % 2
     scale, _ = spectral._prescale(a[None])
     scaled = np.zeros((m, m))
     scaled[:n, :n] = a * scale[0]
-    pivot = scaled.ravel()[spectral._round_robin_steps(m)[0][0]]
-    apr, diff = pivot[:h], pivot[2 * h:3 * h] - pivot[3 * h:]
+    # the first step's pivots: (p, r), then (r, r) and (p, p) of each pair but the pad pair
+    pivot = scaled.ravel()[spectral._round_robin_steps(n)[0][0]]
+    apr, diff = pivot[:rotated], pivot[rotated:2 * rotated] - pivot[2 * rotated:]
     assert (np.abs(apr) < 1e-36 * np.abs(diff)).any()
+
+
+@pytest.mark.parametrize("n", sorted(ROUND_ROBIN_SHA256))
+def test_rare_branch_reaches_first_order_tangents_and_zero_pivots(n, monkeypatch):
+    # the pinned stacks pass the one guard of _tangents' rare branch both ways
+    stack = np.stack(_first_order_set(np.random.default_rng([n, 20]), n))
+    tangents = spectral._tangents
+    seen = collections.Counter()
+
+    def recording(apr, diff, out):
+        first_order = (apr != 0.0) & (np.abs(apr) < 1e-36 * np.abs(diff))
+        zero = tangents(apr, diff, out)
+        seen["first_order"] += int(first_order.any())
+        seen["zero"] += zero is not None
+        if zero is not None:
+            assert (out[2][zero] == 0.0).all() and (apr[zero] == 0.0).all()
+        return zero
+
+    monkeypatch.setattr(spectral, "_tangents", recording)
+    for vectors in (False, True):
+        seen.clear()
+        _jacobi_round_robin(stack, vectors)
+        assert seen["first_order"] > 0 and seen["zero"] > 0, (vectors, seen)
+
+
+@pytest.mark.parametrize("n", [12, 13, 16, 17])
+def test_an_uncoupled_negative_zero_keeps_its_sign(n):
+    # index 0 has no coupling, so each of its rotations has c = 1 and sign * s
+    # = -0.0 on its side: the zero pivots' and, at odd n, the pad pair's fixed
+    # slots.  Its -0.0 diagonal entry stays -0.0, as the list kernel, which
+    # skips zero pivots, leaves it.
+    a = np.zeros((n, n))
+    a[0, 0] = -0.0
+    a[1:3, 1:3] = [[1.0, 0.5], [0.5, 2.0]]  # so that a sweep runs
+    assert np.signbit(_cyclic_jacobi(a, vectors=False)[0]).sum() == 1
+    for vectors in (False, True):
+        values = _jacobi_round_robin(a[None], vectors)[0][0]
+        assert np.signbit(values).sum() == 1 and (values == 0.0).sum() == n - 2, vectors
 
 
 @pytest.mark.parametrize("n", [12, 13, 16, 17, 24, 32])

@@ -1,6 +1,11 @@
-"""``tools/bench_spectral.py`` merges repeated runs figure by figure."""
+"""``tools/bench_spectral.py`` merges repeated runs figure by figure, times
+two checkouts in turn in one process, and times the draws and campaigns
+shaped like the benchmark's."""
 
 import importlib.util
+import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -10,13 +15,16 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_spectral.py"
 
 @pytest.fixture
 def tool(monkeypatch):
-    """The script as a module; the BLAS thread settings it makes at import are undone afterwards."""
+    """The script as a module; the BLAS thread settings it makes at import and the
+    checkouts it loads are undone afterwards."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("bench_spectral", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    yield module
+    for name in [name for name in sys.modules if name.startswith("opineq_bench")]:
+        del sys.modules[name]  # a checkout loaded under another name
 
 
 def _row(n, k, vectors, ms):
@@ -44,3 +52,89 @@ def test_first_run_under_a_label_is_taken_as_it_is(tool):
     assert tool.merged(None, solves, {"2": 3.0}) == {
         "runs": 1, "solve_ms_per_matrix": solves, "campaign_ms_per_trial": {"2": 3.0},
     }
+
+
+def test_merge_matches_draw_figures_by_n_and_k(tool):
+    earlier = {
+        "runs": 1,
+        "solve_ms_per_matrix": [_row(4, 1, False, 0.5)],
+        "draw_ms_per_matrix": [{"n": 16, "k": 5, "ms": 0.2}, {"n": 16, "k": 1, "ms": 0.9}],
+        "campaign_ms_per_trial": {"12..16x1": 20.0},
+    }
+    draws = [{"n": 16, "k": 1, "ms": 0.7}, {"n": 32, "k": 60, "ms": 0.1}, {"n": 16, "k": 5, "ms": 0.3}]
+    record = tool.merged(earlier, [_row(4, 1, False, 0.6)], {"12..16x1": 18.0}, draws)
+    assert record == {
+        "runs": 2,
+        "solve_ms_per_matrix": [_row(4, 1, False, 0.5)],
+        "draw_ms_per_matrix": [{"n": 16, "k": 1, "ms": 0.7}, {"n": 32, "k": 60, "ms": 0.1},
+                               {"n": 16, "k": 5, "ms": 0.2}],
+        "campaign_ms_per_trial": {"12..16x1": 18.0},
+    }
+
+
+def test_best_ms_alternates_which_run_goes_first(tool):
+    calls = []
+    runs = [lambda: calls.append("a"), lambda: calls.append("b")]
+    times = tool.best_ms(runs, 4)
+    assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
+    assert len(times) == 2 and all(ms >= 0.0 for ms in times)
+
+
+def test_two_checkouts_load_side_by_side(tool):
+    src = TOOL.parent.parent / "src"
+    first = tool.load_opineq(src, "opineq_bench_test_a")
+    second = tool.load_opineq(src, "opineq_bench_test_b")
+    assert first is not second and first.spectral is not second.spectral
+    assert first.spectral.__name__ == "opineq_bench_test_a.spectral"
+    spec = first.TrialSpec(seed=3, dim_range=(3, 3), trials=2)
+    assert first.run_campaign(spec).rows == second.run_campaign(second.TrialSpec(**spec.to_dict())).rows
+
+
+def test_draw_cells_time_the_stacked_draw_or_the_one_at_a_time_draw(tool, monkeypatch):
+    import opineq
+
+    monkeypatch.setattr(tool, "SIZES", (13,))
+    monkeypatch.setattr(tool, "DRAW_GROUPS", (5,))
+    ((key, run, repeats, per),) = tool.draw_cells(42)
+    assert key == {"n": 13, "k": 5} and per == 5 and repeats >= 5
+    stacked = run(opineq)()
+
+    class OneAtATime:  # a checkout without the stacked draw
+        verifier = types.SimpleNamespace(random_symmetric_with_spectrum=opineq.random_symmetric_with_spectrum)
+
+    alone = run(OneAtATime)()
+    assert [a.entries.tobytes() for a in stacked] == [a.entries.tobytes() for a in alone]
+
+
+def test_single_trial_campaign_row_is_shaped_like_campaign_highdim(tool):
+    specs = []
+
+    class Recording:  # stands in for a checkout's opineq
+        TrialSpec = staticmethod(lambda **spec: spec or types.SimpleNamespace(function_set=("f0", "f1", "f2")))
+        run_campaign = staticmethod(specs.append)
+
+    key, run, _, per = tool.campaign_cells(42)[-1]
+    run(Recording)()
+    assert key == "12..16x1" and per == tool.SINGLE_TRIAL_CELLS == len(specs) == 10
+    assert [spec["dim_range"] for spec in specs] == [(12 + i % 5,) * 2 for i in range(10)]
+    assert {spec["trials"] for spec in specs} == {1}
+    assert [spec["map_set"] for spec in specs[:4]] == [("corner",), ("vecstate",), ("trace",), ("pinching",)]
+    assert [spec["function_set"] for spec in specs[:4]] == [("f0",), ("f1",), ("f2",), ("f0",)]
+
+
+def test_against_run_writes_both_labels(tool, monkeypatch, tmp_path):
+    monkeypatch.setattr(tool, "SIZES", (12,))
+    monkeypatch.setattr(tool, "GROUPS", (1,))
+    monkeypatch.setattr(tool, "DRAW_GROUPS", (1,))
+    monkeypatch.setattr(tool, "CAMPAIGN_TRIALS", {(2, 2): 1})
+    monkeypatch.setattr(tool, "SINGLE_TRIAL_CELLS", 1)
+    out = tmp_path / "bench.json"
+    src = str(TOOL.parent.parent / "src")
+    assert tool.main(["--out", str(out), "--src", src, "--against", src]) == 0
+    record = json.loads(out.read_text())
+    for label in ("change", "parent"):
+        assert record[label]["runs"] == 1
+        assert [(row["n"], row["k"], row["vectors"]) for row in record[label]["solve_ms_per_matrix"]] == [
+            (12, 1, False), (12, 1, True)]
+        assert [(row["n"], row["k"]) for row in record[label]["draw_ms_per_matrix"]] == [(12, 1)]
+        assert set(record[label]["campaign_ms_per_trial"]) == {"2", "12..16x1"}

@@ -580,19 +580,20 @@ class TestDecompositionWaves:
 
     def test_first_error_in_trial_order_wins(self, monkeypatch):
         # trial 0 raises only when evaluated; trial 1's indefinite sandwich
-        # base makes its second-wave build raise, before any evaluation
-        draw_trial = verifier._draw_trial
+        # base makes its second-wave build raise, before any evaluation.  The
+        # chunk builds its matrices after drawing its trials' scalars, so the
+        # bad inputs go in once the chunk is built.
+        drawn = verifier._drawn
         first_broken = []
 
-        def broken(spec, index):
-            draw = draw_trial(spec, index)
-            if index == 0 and first_broken:
+        def broken_draw(draw):
+            if draw.index == 0 and first_broken:
                 return draw._replace(fn_spec="no_such_function")
-            if index == 1:
+            if draw.index == 1:
                 return draw._replace(base=SymmetricMatrix(np.diag([-1.0, *[1.0] * (draw.dim - 1)])))
             return draw
 
-        monkeypatch.setattr(verifier, "_draw_trial", broken)
+        monkeypatch.setattr(verifier, "_drawn", lambda chunk: [broken_draw(draw) for draw in drawn(chunk)])
         spec = TrialSpec(seed=1, dim_range=(3, 3), trials=2, map_set=("corner",))
         with pytest.raises(NotPositiveDefinite, match="minimum eigenvalue"):
             run_campaign(spec)

@@ -21,6 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     DegenerateInterval,
@@ -30,12 +33,12 @@ from .errors import (
     SpectrumNotEnclosed,
 )
 from .functions import (
-    K_constant,
     ScalarFunction,
     _check_positive_interval,
+    _ratio_extremum,
+    _ratio_grid,
     catalog_lookup,
     chord_line,
-    k_constant,
     kantorovich_power_constant,
     second_derivative_range,
 )
@@ -43,6 +46,7 @@ from .maps import PositiveUnitalMap
 from .spectral import (
     LoewnerVerdict,
     SymmetricMatrix,
+    _Stack,
     _check_hull,
     _checked_tolerance,
     _eigenvalues_many,
@@ -115,25 +119,98 @@ def with_tolerance(report: InequalityReport, tol: float) -> InequalityReport:
     return replace(report, tolerance=_checked_tolerance(tol))
 
 
+class _Claims:
+    """The claim lhs <= rhs on each instance of two ``_Stack``s; ``_judge`` fills ``gaps`` and ``scales``.
+
+    ``gaps`` are the ascending eigenvalues of each rhs - lhs, and ``scales``
+    each instance's max(max|lhs|, max|rhs|), the ``scale`` of its report.
+    """
+
+    __slots__ = ("label", "lhs", "rhs", "gaps", "scales")
+
+    def __init__(self, label: str, lhs: _Stack, rhs: _Stack):
+        self.label = label
+        self.lhs = lhs
+        self.rhs = rhs
+        self.gaps = None
+        self.scales = None
+
+
+class _Chain(NamedTuple):
+    """A chain of ``_Claims`` on a stack plus the prerequisites its proof leans on; see ``ChainReport``."""
+
+    label: str
+    links: tuple
+    prerequisites: tuple = ()
+
+
+def _parts(item) -> tuple:
+    """The comparisons an item of a report list consists of."""
+    if isinstance(item, ChainReport):
+        return item.reports
+    if isinstance(item, _Chain):
+        return item.links + item.prerequisites
+    return (item,)
+
+
 def _judge(reports, *matrices) -> list:
     """Judge every pending comparison of ``reports`` in one batched solve.
 
-    ``reports`` may mix ``InequalityReport`` and ``ChainReport`` items with
-    other checks, which are passed over.  The eigenvalues of ``matrices``
-    (eigenvalues-only, ascending) are solved in the same call and returned.
+    ``reports`` may mix ``InequalityReport``, ``ChainReport``, ``_Claims``
+    and ``_Chain`` items with other checks, which are passed over.  The
+    eigenvalues of ``matrices`` (eigenvalues-only, ascending), each a
+    ``SymmetricMatrix`` or a ``_Stack`` of them, are solved in the same call
+    and returned, one array per matrix, in order.
     """
     pending = {}
     for item in reports:
-        for report in item.reports if isinstance(item, ChainReport) else (item,):
-            if isinstance(report, InequalityReport) and "verdict" not in vars(report):
+        for report in _parts(item):
+            if isinstance(report, _Claims) and report.gaps is None or (
+                isinstance(report, InequalityReport) and "verdict" not in vars(report)
+            ):
                 pending[id(report)] = report
-    spectra = _eigenvalues_many(
-        [(r.rhs - r.lhs).entries for r in pending.values()] + [m.entries for m in matrices]
+    arrays = []
+    for item in [*pending.values(), *matrices]:
+        matrix = item.rhs - item.lhs if not isinstance(item, (SymmetricMatrix, _Stack)) else item
+        arrays.extend(matrix.entries if isinstance(matrix, _Stack) else (matrix.entries,))
+    spectra = _eigenvalues_many(arrays)
+    start = 0
+    for report in pending.values():
+        if isinstance(report, _Claims):
+            end = start + len(report.lhs.entries)
+            report.gaps = spectra[start:end]
+            report.scales = np.maximum(report.lhs.norm_max(), report.rhs.norm_max()).tolist()
+        else:
+            end = start + 1
+            # a frozen dataclass: fill the cached_property as its first access would
+            object.__setattr__(report, "verdict", _loewner_verdict(spectra[start], report.tolerance))
+        start = end
+    return spectra[start:]
+
+
+def _outcome(item, position: int) -> tuple[float, float]:
+    """(tightness, scale) of a report, or of the instance at ``position`` of a stacked item.
+
+    A stacked item gives the bits its instance's report gives alone: the
+    least gap over its comparisons in their order, and the largest scale.
+    """
+    if not isinstance(item, (_Claims, _Chain)):
+        return item.tightness, item.scale
+    parts = _parts(item)
+    return (min(float(claims.gaps[position][0]) for claims in parts),
+            max(claims.scales[position] for claims in parts))
+
+
+def _single(items) -> tuple:
+    """The reports of the ``_Claims`` and ``_Chain`` items of a stack of one instance."""
+    def report(claims: _Claims) -> InequalityReport:
+        return _claim(claims.label, claims.lhs.matrix(0), claims.rhs.matrix(0))
+
+    return tuple(
+        report(item) if isinstance(item, _Claims)
+        else ChainReport(item.label, tuple(map(report, item.links)), tuple(map(report, item.prerequisites)))
+        for item in items
     )
-    for report, gaps in zip(pending.values(), spectra):
-        # a frozen dataclass: fill the cached_property as its first access would
-        object.__setattr__(report, "verdict", _loewner_verdict(gaps, report.tolerance))
-    return spectra[len(pending):]
 
 
 @dataclass(frozen=True)
@@ -168,8 +245,7 @@ class CdjContext:
     ``with_function`` gives the same instance for another function.  The
     contexts of one instance share every term that does not depend on the
     function: Phi(A), Phi(A^2), Phi(A)^2, the identity, the affine part
-    (M+m) Phi(A) - Mm of both correction terms, the corrections themselves
-    and the verdicts that they are PSD.
+    (M+m) Phi(A) - Mm of both correction terms and the corrections themselves.
     """
 
     matrix: SymmetricMatrix
@@ -190,13 +266,16 @@ class CdjContext:
     correction_point: SymmetricMatrix
     _identity: SymmetricMatrix = field(repr=False)
     _affine: SymmetricMatrix = field(repr=False)
-    # "image"/"point" -> PSD verdict on that correction, judged on first use
-    _psd: dict = field(repr=False, compare=False)
+
+    @cached_property
+    def _ratio_grid(self):
+        """chord/f on the grid of [m, M], which K and k both scan; built on first use."""
+        return _ratio_grid(self.fn, self.m, self.M)
 
     @cached_property
     def _big_k(self) -> float:
         """``K_constant`` of this context's function on [m, M], computed on first use."""
-        return K_constant(self.fn, self.m, self.M)
+        return _ratio_extremum(self.fn, self.m, self.M, maximize=True, grid=self._ratio_grid)
 
     def with_function(self, fn: ScalarFunction) -> "CdjContext":
         """This instance with ``fn``; equal to ``build_context`` with ``fn``, bit for bit.
@@ -214,11 +293,65 @@ class CdjContext:
         )
 
     def chord_at_phi_A(self) -> SymmetricMatrix:
-        chord = chord_line(self.fn, self.m, self.M)
-        return chord.slope * self.phi_A + chord.intercept * self._identity
+        return _CdjStack((self,)).chord_at_phi_A().matrix(0)
 
-    def _correction_psd(self, which: str) -> "InequalityReport":
-        """The verdict that the ``which`` ("image" or "point") correction is PSD."""
+
+def _columns(rows) -> np.ndarray:
+    """Per-instance scalars, one tuple of floats per instance, as ``(columns, k, 1, 1)`` factors."""
+    return np.array(rows, dtype=float).T[:, :, None, None]
+
+
+class _CdjStack:
+    """The contexts of k instances whose Phi(A) have one size, their terms stacked.
+
+    Every family of ``CdjContext`` is written once, on this: a campaign
+    evaluates it once for a chunk's trials of one Phi(A) size, and the
+    public functions on a stack of one context.  Each ``CdjContext`` term is
+    a ``_Stack`` of the contexts' matrices, and m, M, alpha and beta are
+    ``(k, 1, 1)`` factors.  A family's other scalars (the chord, K, k and the
+    power constants) are computed instance by instance in Python, as for one
+    context, and enter the stacks only through + - * /.  So every matrix of
+    every term has the bits its context's gives alone: numpy's own power,
+    exp and log never run on the scalars, and no product runs on a stack.
+    ``with_function`` shares the function-independent terms and the
+    correction-PSD prerequisites, as ``CdjContext.with_function`` does.
+    """
+
+    _SHARED = ("m", "M", "phi_A", "phi_A2", "phi_A_sq", "correction_image", "correction_point",
+               "_identity", "_affine", "_psd")
+
+    def __init__(self, contexts: tuple, shared: "_CdjStack | None" = None):
+        self.contexts = contexts
+        self.alpha, self.beta = _columns([(c.alpha, c.beta) for c in contexts])
+        self.phi_fA = _Stack.of([c.phi_fA for c in contexts])
+        self.f_phi_A = _Stack.of([c.f_phi_A for c in contexts])
+        if shared is None:
+            self.m, self.M = _columns([(c.m, c.M) for c in contexts])
+            for name in self._SHARED[2:-1]:
+                setattr(self, name, _Stack.of([getattr(c, name) for c in contexts]))
+            self._psd = {}  # "image"/"point" -> the claim that that correction is PSD
+        else:
+            for name in self._SHARED:
+                setattr(self, name, getattr(shared, name))
+
+    def with_function(self, fn: ScalarFunction) -> "_CdjStack":
+        return _CdjStack(tuple(c.with_function(fn) for c in self.contexts), self)
+
+    def take(self, positions) -> "_CdjStack":
+        """The stack of the contexts at ``positions``."""
+        return _CdjStack(tuple(self.contexts[j] for j in positions))
+
+    def column(self, value) -> np.ndarray:
+        """``value(context)``, a float computed in Python, of each instance as a ``(k, 1, 1)`` factor."""
+        return _columns([(value(c),) for c in self.contexts])[0]
+
+    def chord_at_phi_A(self) -> _Stack:
+        lines = [chord_line(c.fn, c.m, c.M) for c in self.contexts]
+        slope, intercept = _columns([(line.slope, line.intercept) for line in lines])
+        return slope * self.phi_A + intercept * self._identity
+
+    def _correction_psd(self, which: str) -> _Claims:
+        """The claim that the ``which`` ("image" or "point") correction is PSD."""
         if which not in self._psd:
             term = self.correction_image if which == "image" else self.correction_point
             self._psd[which] = _psd_prerequisite(f"{which}_correction_psd", term)
@@ -286,7 +419,6 @@ def _build_context(
         correction_point=affine - phi_A_sq,
         _identity=identity,
         _affine=affine,
-        _psd={},
     )
 
 
@@ -295,42 +427,58 @@ def chord_bounds(ctx: CdjContext):
 
     Reports are normalized so the claim is always lhs <= rhs.
     """
+    return _single(_chord(_CdjStack((ctx,))))
+
+
+def _chord(ctx: _CdjStack) -> tuple:
     chord = ctx.chord_at_phi_A()
     g_img = ctx.correction_image
     g_pt = ctx.correction_point
     alpha, beta = ctx.alpha, ctx.beta
     return (
-        _claim("chord_upper_image", ctx.phi_fA, chord - (alpha / 2.0) * g_img),
-        _claim("chord_lower_image", chord - (beta / 2.0) * g_img, ctx.phi_fA),
-        _claim("chord_upper_jensen", ctx.f_phi_A, chord - (alpha / 2.0) * g_pt),
-        _claim("chord_lower_jensen", chord - (beta / 2.0) * g_pt, ctx.f_phi_A),
+        _Claims("chord_upper_image", ctx.phi_fA, chord - (alpha / 2.0) * g_img),
+        _Claims("chord_lower_image", chord - (beta / 2.0) * g_img, ctx.phi_fA),
+        _Claims("chord_upper_jensen", ctx.f_phi_A, chord - (alpha / 2.0) * g_pt),
+        _Claims("chord_lower_jensen", chord - (beta / 2.0) * g_pt, ctx.f_phi_A),
     )
 
 
-def _spread_term(ctx: CdjContext) -> SymmetricMatrix:
+def _spread_term(ctx: _CdjStack) -> _Stack:
     return ((ctx.beta - ctx.alpha) / 2.0) * ctx._affine
 
 
 def jensen_third_term(ctx: CdjContext) -> SymmetricMatrix:
     """(1/2)(alpha Phi(A)^2 - beta Phi(A^2)); its sign is not determined."""
+    return _third_term(_CdjStack((ctx,))).matrix(0)
+
+
+def _third_term(ctx: _CdjStack) -> _Stack:
     return 0.5 * (ctx.alpha * ctx.phi_A_sq - ctx.beta * ctx.phi_A2)
 
 
 def jensen_upper_bound(ctx: CdjContext) -> InequalityReport:
     """f(Phi(A)) <= Phi(f(A)) + spread term + (1/2)(alpha Phi(A)^2 - beta Phi(A^2))."""
-    rhs = ctx.phi_fA + _spread_term(ctx) + jensen_third_term(ctx)
-    return _claim("jensen_upper", ctx.f_phi_A, rhs)
+    return _single(_jensen_upper(_CdjStack((ctx,))))[0]
+
+
+def _jensen_upper(ctx: _CdjStack) -> tuple:
+    rhs = ctx.phi_fA + _spread_term(ctx) + _third_term(ctx)
+    return (_Claims("jensen_upper", ctx.f_phi_A, rhs),)
 
 
 def jensen_converse_bound(ctx: CdjContext) -> InequalityReport:
     """Phi(f(A)) <= f(Phi(A)) + spread term + (1/2)(alpha Phi(A^2) - beta Phi(A)^2)."""
+    return _single(_jensen_converse(_CdjStack((ctx,))))[0]
+
+
+def _jensen_converse(ctx: _CdjStack) -> tuple:
     rhs = ctx.f_phi_A + _spread_term(ctx) + 0.5 * (
         ctx.alpha * ctx.phi_A2 - ctx.beta * ctx.phi_A_sq
     )
-    return _claim("jensen_converse", ctx.phi_fA, rhs)
+    return (_Claims("jensen_converse", ctx.phi_fA, rhs),)
 
 
-def _sandwich_terms(ctx: CdjContext, const: float, half: float):
+def _sandwich_terms(ctx: _CdjStack, const, half):
     """(1/c){Phi(f(A)) + h corr_image} and c Phi(f(A)) - h corr_point.
 
     With c = K and h = alpha/2 they bound f(Phi(A)) from below and above;
@@ -348,10 +496,14 @@ def ratio_sandwich(ctx: CdjContext):
         (1/K) {Phi(f(A)) + (alpha/2) corr_image} <= f(Phi(A))
                                                  <= K Phi(f(A)) - (alpha/2) corr_point
     """
-    lower, upper = _sandwich_terms(ctx, ctx._big_k, ctx.alpha / 2.0)
+    return _single(_ratio(_CdjStack((ctx,)), ctx._big_k))
+
+
+def _ratio(ctx: _CdjStack, big_k) -> tuple:
+    lower, upper = _sandwich_terms(ctx, big_k, ctx.alpha / 2.0)
     return (
-        _claim("ratio_lower", lower, ctx.f_phi_A),
-        _claim("ratio_upper", ctx.f_phi_A, upper),
+        _Claims("ratio_lower", lower, ctx.f_phi_A),
+        _Claims("ratio_upper", ctx.f_phi_A, upper),
     )
 
 
@@ -361,24 +513,33 @@ def ratio_sandwich_min(ctx: CdjContext):
         k Phi(f(A)) - (beta/2) corr_point <= f(Phi(A))
                                           <= (1/k) {Phi(f(A)) + (beta/2) corr_image}
     """
-    small_k = k_constant(ctx.fn, ctx.m, ctx.M)
+    return _single(_ratio_min(_CdjStack((ctx,)), _small_k(ctx)))
+
+
+def _small_k(ctx: CdjContext) -> float:
+    """``k_constant`` of the context's function on [m, M], which must be positive."""
+    small_k = _ratio_extremum(ctx.fn, ctx.m, ctx.M, maximize=False, grid=ctx._ratio_grid)
     if small_k <= 0.0:
         raise NonPositiveConstant(f"chord/function minimum {small_k!r} is not positive")
+    return small_k
+
+
+def _ratio_min(ctx: _CdjStack, small_k) -> tuple:
     upper, lower = _sandwich_terms(ctx, small_k, ctx.beta / 2.0)
     return (
-        _claim("ratio_min_lower", lower, ctx.f_phi_A),
-        _claim("ratio_min_upper", ctx.f_phi_A, upper),
+        _Claims("ratio_min_lower", lower, ctx.f_phi_A),
+        _Claims("ratio_min_upper", ctx.f_phi_A, upper),
     )
 
 
-def _psd_prerequisite(label: str, term: SymmetricMatrix) -> InequalityReport:
-    return _claim(label, 0.0 * term, term)
+def _psd_prerequisite(label: str, term: _Stack) -> _Claims:
+    return _Claims(label, 0.0 * term, term)
 
 
 def _sandwich_chain(
-    ctx: CdjContext, label: str, prefix: str, const: float, half: float,
+    ctx: _CdjStack, label: str, prefix: str, const, half,
     *, closed: bool = True, reverse: bool = False,
-) -> ChainReport:
+) -> _Chain:
     """The chain of ``_sandwich_terms`` around f(Phi(A)) with its outer terms.
 
     Closed, five terms and both correction terms PSD as prerequisites:
@@ -392,9 +553,9 @@ def _sandwich_chain(
     tail = [upper, const * ctx.phi_fA] if closed else [ctx.phi_fA]
     terms = [(1.0 / const) * ctx.phi_fA, lower, ctx.f_phi_A, *tail]
     pairs = [(b, a) if reverse else (a, b) for a, b in zip(terms, terms[1:])]
-    links = tuple(_claim(f"{prefix}{i}", a, b) for i, (a, b) in enumerate(pairs, 1))
+    links = tuple(_Claims(f"{prefix}{i}", a, b) for i, (a, b) in enumerate(pairs, 1))
     corrections = ("image", "point") if closed else ("image",)
-    return ChainReport(label, links, tuple(ctx._correction_psd(which) for which in corrections))
+    return _Chain(label, links, tuple(ctx._correction_psd(which) for which in corrections))
 
 
 def refined_sandwich_chain(ctx: CdjContext) -> ChainReport:
@@ -405,9 +566,18 @@ def refined_sandwich_chain(ctx: CdjContext) -> ChainReport:
                         <= K Phi(f(A)) - (alpha/2) corr_point
                         <= K Phi(f(A))
     """
+    return _single(_refined_chain(_CdjStack((ctx,)), _refined_k(ctx)))[0]
+
+
+def _refined_k(ctx: CdjContext) -> float:
+    """K of the refined chain, whose f must be strictly convex (alpha > 0)."""
     if ctx.alpha <= 0.0:
         raise NotStrictlyConvex(f"alpha = {ctx.alpha!r} is not positive")
-    return _sandwich_chain(ctx, "refined_chain", "refined_chain_link", ctx._big_k, ctx.alpha / 2.0)
+    return ctx._big_k
+
+
+def _refined_chain(ctx: _CdjStack, big_k) -> tuple:
+    return (_sandwich_chain(ctx, "refined_chain", "refined_chain_link", big_k, ctx.alpha / 2.0),)
 
 
 def power_function_chain(
@@ -428,7 +598,7 @@ def power_function_chain(
         correction enters with coefficient -r(1-r)/(2 M^{2-r}), the maximal
         second derivative on the interval.
     """
-    return _power_chain(_power_context(matrix, phi, r, m, M), r)
+    return _single(_power_chain(_CdjStack((_power_context(matrix, phi, r, m, M),)), r))[0]
 
 
 def _power_context(matrix: SymmetricMatrix, phi: PositiveUnitalMap, r: float, m, M) -> CdjContext:
@@ -442,17 +612,17 @@ def _power_context(matrix: SymmetricMatrix, phi: PositiveUnitalMap, r: float, m,
     return build_context(matrix, phi, catalog_lookup("power", [r]), m, M)
 
 
-def _power_chain(ctx: CdjContext, r: float) -> ChainReport:
-    """``power_function_chain`` on a context whose function is t^r."""
-    big_k = kantorovich_power_constant(ctx.m, ctx.M, r)
+def _power_chain(ctx: _CdjStack, r: float) -> tuple:
+    """``power_function_chain`` on a stack whose function is t^r."""
+    big_k = ctx.column(lambda c: kantorovich_power_constant(c.m, c.M, r))
     label = f"power_chain[r={r:g}]"
     if 0.0 < r < 1.0:
         # t^r is concave, so beta = r(r-1) M^{r-2} < 0 is the relevant
         # second-derivative bound and every comparison flips.
-        half = -(r * (1.0 - r) / (2.0 * ctx.M ** (2.0 - r)))
-        return _sandwich_chain(ctx, label, "power_link", big_k, half, closed=False, reverse=True)
-    gamma = r * (r - 1.0) * min(ctx.m ** (r - 2.0), ctx.M ** (r - 2.0))
-    return _sandwich_chain(ctx, label, "power_link", big_k, gamma / 2.0, closed=r < -1.0 or r > 2.0)
+        half = ctx.column(lambda c: -(r * (1.0 - r) / (2.0 * c.M ** (2.0 - r))))
+        return (_sandwich_chain(ctx, label, "power_link", big_k, half, closed=False, reverse=True),)
+    gamma = ctx.column(lambda c: r * (r - 1.0) * min(c.m ** (r - 2.0), c.M ** (r - 2.0)))
+    return (_sandwich_chain(ctx, label, "power_link", big_k, gamma / 2.0, closed=r < -1.0 or r > 2.0),)
 
 
 @dataclass(frozen=True)
@@ -486,18 +656,35 @@ def improved_kantorovich(
 ) -> ImprovedKantorovich:
     if matrix.min_eigenvalue() <= strict_positivity_tolerance(matrix):
         raise NotPositiveDefinite("the operator must be strictly positive")
-    return _improved_kantorovich(_power_context(matrix, phi, -1.0, m, M))
-
-
-def _improved_kantorovich(ctx: CdjContext) -> ImprovedKantorovich:
-    """``improved_kantorovich`` on a context whose function is t^{-1}."""
-    improvement = (1.0 / ctx.M**3) * ctx.correction_image
-    classical_rhs = ((ctx.M + ctx.m) ** 2 / (4.0 * ctx.M * ctx.m)) * ctx.f_phi_A
-    improved_rhs = classical_rhs - improvement
+    ctx = _power_context(matrix, phi, -1.0, m, M)
+    kant = _improved_kantorovich(_CdjStack((ctx,)))
+    inequality, improvement_psd = _single(kant[:2])
     return ImprovedKantorovich(
-        inequality=_claim("improved_kantorovich", ctx.phi_fA, improved_rhs),
-        improvement_psd=_psd_prerequisite("kantorovich_improvement_psd", improvement),
+        inequality=inequality,
+        improvement_psd=improvement_psd,
         phi_inv=ctx.phi_fA,
-        classical_rhs=classical_rhs,
-        improved_rhs=improved_rhs,
+        classical_rhs=kant.classical_rhs.matrix(0),
+        improved_rhs=kant.improved_rhs.matrix(0),
+    )
+
+
+class _Kantorovich(NamedTuple):
+    """``ImprovedKantorovich``'s comparisons and right-hand sides on a stack."""
+
+    inequality: _Claims
+    improvement_psd: _Claims
+    classical_rhs: _Stack
+    improved_rhs: _Stack
+
+
+def _improved_kantorovich(ctx: _CdjStack) -> _Kantorovich:
+    """``improved_kantorovich`` on a stack whose function is t^{-1}."""
+    improvement = ctx.column(lambda c: 1.0 / c.M**3) * ctx.correction_image
+    classical_rhs = ctx.column(lambda c: (c.M + c.m) ** 2 / (4.0 * c.M * c.m)) * ctx.f_phi_A
+    improved_rhs = classical_rhs - improvement
+    return _Kantorovich(
+        _Claims("improved_kantorovich", ctx.phi_fA, improved_rhs),
+        _psd_prerequisite("kantorovich_improvement_psd", improvement),
+        classical_rhs,
+        improved_rhs,
     )

@@ -24,14 +24,14 @@ import sys
 import numpy as np
 
 from . import worked_examples
-from .bounds import _claim, _judge, build_context, with_tolerance
+from .bounds import _CdjStack, _claim, _judge, _single, build_context, with_tolerance
 from .errors import BadParameter, OpineqError
 from .functions import parse_function_spec
 from .maps import map_from_info
 from .perspectives import DensityOperator, quantum_tsallis_lower_bound, von_neumann_lower_bound
 from .rng import _checked_seed, derive_seed
 from .spectral import SymmetricMatrix, _array_from_payload
-from .verifier import FAMILIES, MAX_TRIALS, TrialSpec, random_density, run_campaign
+from .verifier import FAMILIES, MAX_TRIALS, TrialSpec, _evaluate_family, random_density, run_campaign
 
 __all__ = ["main", "render_json", "parse_json", "load_matrix_file", "load_vector_file"]
 
@@ -128,14 +128,15 @@ def cmd_check(args) -> int:
     phi = _build_map(args.map, matrix.dim)
     fn = parse_function_spec(args.function)
     ctx = build_context(matrix, phi, fn, args.m, args.M)
+    stack = _CdjStack((ctx,))
     reports = []
     notes = []
     for name in CHECK_FAMILIES:
         family = FAMILIES[name]
-        try:
-            reports.extend(family.evaluate(ctx))
-        except family.skips:
+        kept, items = _evaluate_family(family, stack, 1, family.params)
+        if not kept:
             notes.append("ratio sandwich skipped: function is not positive on [m, M]")
+        reports.extend(_single(items))
     if args.tol is not None:
         reports = [with_tolerance(r, args.tol) for r in reports]
     plain_claim = _claim("plain_comparison", ctx.f_phi_A, ctx.phi_fA, args.tol)

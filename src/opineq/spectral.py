@@ -51,7 +51,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -99,8 +99,7 @@ class SymmetricMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidMatrix("matrix entries must be finite")
+        _check_finite(arr)
         bits = arr.view(np.uint64)
         # below overflow (x + x) / 2 == x, so bitwise-symmetric input is kept as it is
         if not (bits == bits.T).all():
@@ -122,10 +121,11 @@ class SymmetricMatrix:
         self._entries = arr
         self.clamp_warning = clamp_warning
 
-    # eigendecompose and matrix_sqrt_inv_sqrt fill the caches on first use;
-    # an _elementwise result keeps clamp_warning False
+    # eigendecompose, matrix_sqrt_inv_sqrt and norm_max fill the caches on
+    # first use; an _elementwise result keeps clamp_warning False
     _decomposition = None
     _roots = None
+    _norm_max = None
     clamp_warning = False
 
     @classmethod
@@ -135,8 +135,7 @@ class SymmetricMatrix:
         Such a result is bitwise symmetric already, so only its finiteness is
         checked (a sum or a scaling can overflow); ``arr`` is kept, not copied.
         """
-        if not np.isfinite(arr).all():
-            raise InvalidMatrix("matrix entries must be finite")
+        _check_finite(arr)
         arr.setflags(write=False)
         matrix = object.__new__(cls)
         matrix._entries = arr
@@ -158,9 +157,12 @@ class SymmetricMatrix:
     def dim(self) -> int:
         return self._entries.shape[0]
 
-    @cached_property
+    @property
     def norm_max(self) -> float:
-        return float(np.abs(self._entries).max())
+        """max |entry|, computed on first use (a plain attribute: ``cached_property`` takes a lock)."""
+        if self._norm_max is None:
+            self._norm_max = float(np.abs(self._entries).max())
+        return self._norm_max
 
     @property
     def trace(self) -> float:
@@ -208,6 +210,68 @@ class SymmetricMatrix:
 
     def __repr__(self):
         return f"SymmetricMatrix(dim={self.dim})"
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    """Raise ``InvalidMatrix`` unless every entry of ``arr`` is finite.
+
+    One ufunc reduction, without the ``ndarray.all`` wrapper; a sum of the
+    entries would do in one call too, but it warns when it overflows.
+    """
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        raise InvalidMatrix("matrix entries must be finite")
+
+
+class _Stack:
+    """k bitwise-symmetric n x n matrices in one ``(k, n, n)`` array, under the elementwise operators.
+
+    ``+`` and ``-`` of two stacks and ``*`` by a float or by one factor per
+    matrix (a ``(k, 1, 1)`` array) act on every matrix at once with one
+    rounding per entry, as ``SymmetricMatrix``'s operators do, so each
+    matrix of the result has the bits its ``SymmetricMatrix`` would have
+    alone.  Each result is checked for overflow once for the whole stack,
+    with ``SymmetricMatrix``'s error.
+    """
+
+    __slots__ = ("entries",)
+    __array_ufunc__ = None  # so that ndarray * _Stack reaches __rmul__
+
+    def __init__(self, entries: np.ndarray):
+        self.entries = entries
+
+    @classmethod
+    def of(cls, matrices) -> "_Stack":
+        """The stack of ``matrices`` (``SymmetricMatrix`` of one size), in order."""
+        if len(matrices) == 1:
+            return cls(matrices[0].entries[None])
+        return cls(np.stack([matrix.entries for matrix in matrices]))
+
+    @classmethod
+    def _checked(cls, arr: np.ndarray) -> "_Stack":
+        _check_finite(arr)
+        return cls(arr)
+
+    def __add__(self, other: "_Stack") -> "_Stack":
+        return _Stack._checked(self.entries + other.entries)
+
+    def __sub__(self, other: "_Stack") -> "_Stack":
+        return _Stack._checked(self.entries - other.entries)
+
+    def __mul__(self, factor) -> "_Stack":
+        return _Stack._checked(self.entries * factor)
+
+    __rmul__ = __mul__
+
+    def norm_max(self) -> np.ndarray:
+        """max |entry| of each matrix."""
+        return np.abs(self.entries).max(axis=(1, 2))
+
+    def take(self, positions) -> "_Stack":
+        return _Stack(self.entries[positions])
+
+    def matrix(self, position: int) -> SymmetricMatrix:
+        """The matrix at ``position``, as a ``SymmetricMatrix`` that shares the stack's entries."""
+        return SymmetricMatrix._elementwise(self.entries[position])
 
 
 @dataclass(frozen=True)

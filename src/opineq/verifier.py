@@ -36,21 +36,27 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import (
+    CdjContext,
+    _CdjStack,
     _build_context,
+    _chord,
+    _columns,
     _improved_kantorovich,
+    _jensen_converse,
+    _jensen_upper,
     _judge,
+    _outcome,
     _power_chain,
+    _ratio,
+    _ratio_min,
+    _refined_chain,
+    _refined_k,
+    _small_k,
+    _third_term,
     build_context,
-    chord_bounds,
-    jensen_converse_bound,
-    jensen_third_term,
-    jensen_upper_bound,
-    ratio_sandwich,
-    ratio_sandwich_min,
-    refined_sandwich_chain,
 )
 from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex, OpineqError
-from .functions import _check_positive_interval, catalog_lookup, parse_function_spec
+from .functions import ScalarFunction, _check_positive_interval, catalog_lookup, parse_function_spec
 from .maps import PositiveUnitalMap, map_from_info
 from .perspectives import (
     DensityOperator,
@@ -168,12 +174,20 @@ class TrialSpec:
 class Family:
     """One family of registered inequalities.
 
-    ``evaluate(*prepared, **params)`` returns the family's reports, one per
-    label, from the prepared inputs of its reproducer ``kind`` (see
-    ``_evaluate_trial`` and ``_prepare``); those of kind "pair" end in the map
-    images that ``_map_commutation_bounds`` reads, or ``None``.  ``params``
-    are fixed values of this entry that its reproducer records carry too.  ``skips`` are the
-    exceptions that mean the instance fails the family's preconditions.
+    ``evaluate(prepared, *scalars, **params)`` returns the family's items,
+    one per label, from the prepared inputs of its reproducer ``kind`` (see
+    ``_evaluate_group`` and ``_prepare``).  For the kinds "cdj" and
+    "power_chain" ``prepared`` is a ``bounds._CdjStack`` of one or more
+    instances and the items are stacked; for "kantorovich" it is that
+    stack's ``bounds._Kantorovich``.  The other kinds evaluate one instance:
+    ``prepared`` is a tuple of its inputs, spread as arguments, and those of
+    kind "pair" end in the map images that ``_map_commutation_bounds``
+    reads, or ``None``.  ``scalars(context)``, where given, computes the
+    family's per-instance constants in Python, as floats; an instance whose
+    ``scalars`` raise one of ``skips`` fails the family's preconditions and
+    is left out of its stack, and the others' constants reach ``evaluate``
+    as ``(k, 1, 1)`` factors.  ``params`` are fixed values of this entry
+    that its reproducer records carry too.
     """
 
     labels: tuple[str, ...]
@@ -181,11 +195,16 @@ class Family:
     evaluate: Callable
     skips: tuple[type[Exception], ...] = ()
     params: dict = field(default_factory=dict)
+    scalars: Callable | None = None
 
 
-def _kantorovich(ctx):
-    """The sharpened Kantorovich inequality on the instance of ``ctx``."""
-    return _improved_kantorovich(ctx.with_function(catalog_lookup("power", [-1.0])))
+# t^r of each power chain, built once; t^-1 is the Kantorovich family's function too
+_POWERS = {r: catalog_lookup("power", [r]) for r in POWER_CHAIN_RS}
+
+
+def _kantorovich(ctx: _CdjStack):
+    """The sharpened Kantorovich inequality on the instances of ``ctx``."""
+    return _improved_kantorovich(ctx.with_function(_POWERS[-1.0]))
 
 
 def _trace_checks(rho, sigma, p, pair):
@@ -202,35 +221,36 @@ FAMILIES = {
     "chord": Family(
         ("chord_upper_image", "chord_lower_image", "chord_upper_jensen", "chord_lower_jensen"),
         "cdj",
-        lambda ctx: chord_bounds(ctx),
+        lambda ctx: _chord(ctx),
     ),
-    "jensen_upper": Family(("jensen_upper",), "cdj", lambda ctx: (jensen_upper_bound(ctx),)),
-    "jensen_converse": Family(
-        ("jensen_converse",), "cdj", lambda ctx: (jensen_converse_bound(ctx),)
-    ),
+    "jensen_upper": Family(("jensen_upper",), "cdj", lambda ctx: _jensen_upper(ctx)),
+    "jensen_converse": Family(("jensen_converse",), "cdj", lambda ctx: _jensen_converse(ctx)),
     "ratio": Family(
         ("ratio_lower", "ratio_upper"),
         "cdj",
-        lambda ctx: ratio_sandwich(ctx),
+        lambda ctx, big_k: _ratio(ctx, big_k),
         (NonPositiveFunction,),
+        scalars=lambda ctx: (ctx._big_k,),
     ),
     "ratio_min": Family(
         ("ratio_min_lower", "ratio_min_upper"),
         "cdj",
-        lambda ctx: ratio_sandwich_min(ctx),
+        lambda ctx, small_k: _ratio_min(ctx, small_k),
         (NonPositiveFunction,),
+        scalars=lambda ctx: (_small_k(ctx),),
     ),
     "refined_chain": Family(
         ("refined_chain",),
         "cdj",
-        lambda ctx: (refined_sandwich_chain(ctx),),
+        lambda ctx, big_k: _refined_chain(ctx, big_k),
         (NonPositiveFunction, NotStrictlyConvex),
+        scalars=lambda ctx: (_refined_k(ctx),),
     ),
     **{
         f"power_chain[r={r:g}]": Family(
             (f"power_chain[r={r:g}]",),
             "power_chain",
-            lambda ctx, r: (_power_chain(ctx.with_function(catalog_lookup("power", [r])), r),),
+            lambda ctx, r: _power_chain(ctx.with_function(_POWERS[r]), r),
             params={"r": r},
         )
         for r in POWER_CHAIN_RS
@@ -276,6 +296,7 @@ FAMILIES = {
         lambda rho, p: (von_neumann_lower_bound(rho).floor_check,),
     ),
 }
+_STACKED = ("cdj", "power_chain", "kantorovich")  # the kinds whose families evaluate on stacks
 _FAMILY_OF_LABEL = {label: family for family in FAMILIES.values() for label in family.labels}
 
 
@@ -578,76 +599,138 @@ def _build(draw: _Draw, phi_A: SymmetricMatrix, phi_base: SymmetricMatrix) -> _B
         return _Built()
 
 
-def _evaluate_trial(draw: _Draw, built: _Built) -> tuple[list, tuple]:
-    """(every evaluated family's reports with its reproducer record, the two statistics' matrices).
+class _Trial(NamedTuple):
+    """One trial's inputs to its families, each checked by its constructor."""
 
-    The constructors check ``built``'s matrices, or build them where these
-    are ``None``.  The reports are left unjudged; ``run_campaign`` judges a
-    chunk's at once.
+    draw: _Draw
+    fn: ScalarFunction
+    pair: OperatorPair
+    rho: DensityOperator
+    sigma: DensityOperator
+    relative_pair: OperatorPair
+    ctx: CdjContext
+    image: tuple | None  # (Phi(A), Phi(B), their sandwiched matrix) of the sandwich pair, or None
+
+
+def _prepare_trial(draw: _Draw, built: _Built) -> _Trial:
+    """The trial's inputs, built in the order that decides which of its errors comes first.
+
+    The constructors check ``built``'s matrices, or build them where these are ``None``.
     """
-    dim, phi, p = draw.dim, draw.phi, draw.p
     fn = parse_function_spec(draw.fn_spec)
     second = _sandwich_second(draw.base, draw.inner) if built.second is None else built.second
     pair = _pair_on(draw.base, second, built.sandwiched)
     rho = DensityOperator(draw.rho)
     sigma = DensityOperator(draw.sigma)
     relative_pair = _pair_on(rho.rho, sigma.rho, built.relative)
-    p_pos = abs(p)
-
-    cdj_inputs = {
-        "kind": "cdj",
-        "matrix": _matrix_data(draw.matrix),
-        "dim": dim,
-        "map": draw.map_info,
-        "function": draw.fn_spec,
-        "m": draw.m,
-        "M": draw.M,
-    }
-    records = {
-        "cdj": cdj_inputs,
-        "power_chain": dict(cdj_inputs, kind="power_chain"),
-        "kantorovich": dict(cdj_inputs, kind="kantorovich"),
-        "pair": {
-            "kind": "pair",
-            "A": _matrix_data(pair.A),
-            "B": _matrix_data(pair.B),
-            "dim": dim,
-            "map": draw.map_info,
-            "function": draw.fn_spec,
-            "p": p,
-        },
-        "trace_bounds": {
-            "kind": "trace_bounds",
-            "rho": _matrix_data(rho.rho),
-            "sigma": _matrix_data(sigma.rho),
-            "dim": dim,
-            "p": p_pos,
-            "m": relative_pair.m,
-            "M": relative_pair.M,
-        },
-        "floor": {"kind": "floor", "rho": _matrix_data(rho.rho), "dim": dim, "p": p_pos},
-    }
-    ctx = _build_context(draw.matrix, phi, fn, draw.m, draw.M, built.phi_A)
-    # prepared whole: the strict-improvement statistic below reads it too
-    kant = _kantorovich(ctx)
+    ctx = _build_context(draw.matrix, draw.phi, fn, draw.m, draw.M, built.phi_A)
     image = None if built.image is None else (built.phi_base, built.phi_second, built.image)
-    prepared = {
-        "cdj": (ctx,),
-        "power_chain": (ctx,),
-        "kantorovich": (kant,),
-        "pair": (pair, phi, fn, p, image),
-        "trace_bounds": (rho, sigma, p_pos, relative_pair),
-        "floor": (rho, p_pos),
-    }
+    return _Trial(draw, fn, pair, rho, sigma, relative_pair, ctx, image)
 
-    evaluated = []
-    for family in FAMILIES.values():
+
+def _inputs(trial: _Trial, kind: str) -> dict:
+    """The reproducer inputs of kind ``kind`` of a trial (a failure record's ``inputs``, less the params)."""
+    draw = trial.draw
+    if kind in _STACKED:
+        return {"kind": kind, "matrix": _matrix_data(draw.matrix), "dim": draw.dim, "map": draw.map_info,
+                "function": draw.fn_spec, "m": draw.m, "M": draw.M}
+    if kind == "pair":
+        return {"kind": kind, "A": _matrix_data(trial.pair.A), "B": _matrix_data(trial.pair.B),
+                "dim": draw.dim, "map": draw.map_info, "function": draw.fn_spec, "p": draw.p}
+    if kind == "trace_bounds":
+        return {"kind": kind, "rho": _matrix_data(trial.rho.rho), "sigma": _matrix_data(trial.sigma.rho),
+                "dim": draw.dim, "p": abs(draw.p), "m": trial.relative_pair.m, "M": trial.relative_pair.M}
+    return {"kind": kind, "rho": _matrix_data(trial.rho.rho), "dim": draw.dim, "p": abs(draw.p)}
+
+
+def _evaluate_family(family: Family, prepared, size: int, params: dict, skips=None) -> tuple:
+    """(the positions of the ``size`` instances of ``prepared`` that the family's items cover, the items).
+
+    ``prepared`` holds the inputs of the family's kind: a stack, or one
+    instance's tuple.  An instance whose ``scalars`` or, for one instance,
+    whose evaluation raises one of ``skips`` (the family's by default) is
+    left out.
+    """
+    skips = family.skips if skips is None else skips
+    if family.kind not in _STACKED:
         try:
-            reports = family.evaluate(*prepared[family.kind], **family.params)
-        except family.skips:
+            return [0], family.evaluate(*prepared, **params)
+        except skips:
+            return [], ()
+    if family.scalars is None:
+        return range(size), family.evaluate(prepared, **params)
+    kept, rows = [], []
+    for position, context in enumerate(prepared.contexts):
+        try:
+            rows.append(family.scalars(context))
+        except skips:
             continue
-        evaluated.append((reports, dict(records[family.kind], **family.params)))
-    return evaluated, (jensen_third_term(ctx), kant.classical_rhs - kant.improved_rhs)
+        kept.append(position)
+    if not kept:
+        return kept, ()
+    stack = prepared if len(kept) == len(prepared.contexts) else prepared.take(kept)
+    return kept, family.evaluate(stack, *_columns(rows), **params)
+
+
+class _Evaluated(NamedTuple):
+    """A chunk's trials and, for each, every family's items with the trial's position in them."""
+
+    trials: list
+    items: dict  # family name -> per trial, (items, position), or None where the family was skipped
+    statistics: list  # per trial, ((third-term stack, position), (improvement stack, position))
+
+
+def _evaluate_group(draws: list, builts: list) -> _Evaluated:
+    """Every family on the trials of ``draws``, each once per stack of same-shape instances.
+
+    The CDJ families run once on the contexts of each Phi(A) size; the
+    others run trial by trial.
+    """
+    trials = [_prepare_trial(draw, built) for draw, built in zip(draws, builts)]
+    items = {name: [None] * len(trials) for name in FAMILIES}
+    statistics = [None] * len(trials)
+    by_size: dict = {}
+    for index, trial in enumerate(trials):
+        by_size.setdefault(trial.ctx.phi_A.dim, []).append(index)
+    for members in by_size.values():
+        ctx = _CdjStack(tuple(trials[index].ctx for index in members))
+        kant = _kantorovich(ctx)
+        third, improvement = _third_term(ctx), kant.classical_rhs - kant.improved_rhs
+        prepared = {"cdj": ctx, "power_chain": ctx, "kantorovich": kant}
+        for position, index in enumerate(members):
+            statistics[index] = ((third, position), (improvement, position))
+        for name, family in FAMILIES.items():
+            if family.kind in prepared:
+                kept, evaluated = _evaluate_family(family, prepared[family.kind], len(members), family.params)
+                for at, position in enumerate(kept):  # the item's stack holds the kept instances
+                    items[name][members[position]] = (evaluated, at)
+    for index, trial in enumerate(trials):
+        p = trial.draw.p
+        prepared = {
+            "pair": (trial.pair, trial.draw.phi, trial.fn, p, trial.image),
+            "trace_bounds": (trial.rho, trial.sigma, abs(p), trial.relative_pair),
+            "floor": (trial.rho, abs(p)),
+        }
+        for name, family in FAMILIES.items():
+            if family.kind in prepared:
+                kept, evaluated = _evaluate_family(family, prepared[family.kind], 1, family.params)
+                if kept:
+                    items[name][index] = (evaluated, None)
+    return _Evaluated(trials, items, statistics)
+
+
+def _evaluate(draws: list, builts: list) -> _Evaluated:
+    """``_evaluate_group`` on a chunk, raising the first library error in trial order.
+
+    The stacks mix the trials, so on an error the trials run again one at a
+    time, each as it would run alone, until the first of them raises.
+    """
+    try:
+        return _evaluate_group(draws, builts)
+    except OpineqError:
+        for draw, built in zip(draws, builts):
+            _evaluate_group([draw], [built])
+        raise
 
 
 _MATRICES = ("matrix", "base", "inner", "rho", "sigma")  # the _Draw fields drawn as _Factors
@@ -695,17 +778,27 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         built = [_build(draw, *pair) for draw, pair in zip(chunk, images)]
         # the second: the sandwiched matrices, built from first-wave roots
         _decompose_many([m for b in built for m in (b.sandwiched, b.relative, b.image) if m is not None])
-        trials = [_evaluate_trial(draw, b) for draw, b in zip(chunk, built)]
+        evaluated = _evaluate(chunk, built)
         # one batched solve judges every comparison and the statistics' spectra
+        stacks = list({id(stack): stack for pairs in evaluated.statistics for stack, _ in pairs}.values())
         spectra = iter(_judge(
-            [report for evaluated, _ in trials for reports, _ in evaluated for report in reports],
-            *[matrix for _, statistics in trials for matrix in statistics],
+            [item for per_trial in evaluated.items.values() for entry in per_trial
+             if entry is not None for item in entry[0]],
+            *stacks,
         ))
-        for draw, (evaluated, _) in zip(chunk, trials):
-            for reports, inputs in evaluated:
+        offset = {}
+        for stack in stacks:
+            offset[id(stack)] = [next(spectra) for _ in stack.entries]
+        for index, trial in enumerate(evaluated.trials):
+            draw = trial.draw
+            for name, family in FAMILIES.items():
+                entry = evaluated.items[name][index]
+                if entry is None:
+                    continue
+                reports, position = entry
                 for report in reports:
-                    slack = report.tightness
-                    passed = slack >= -(spec.tolerance * (1.0 + report.scale))
+                    slack, scale = _outcome(report, position)
+                    passed = slack >= -(spec.tolerance * (1.0 + scale))
                     rows.append([report.label, draw.index, draw.dim, float(slack), bool(passed)])
                     if not passed:
                         failures.append({
@@ -714,9 +807,10 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
                             "seed": draw.seed,
                             "dim": draw.dim,
                             "slack": float(slack),
-                            "inputs": inputs,
+                            "inputs": dict(_inputs(trial, family.kind), **family.params),
                         })
-            third, improvement = next(spectra), next(spectra)
+            (third_stack, at), (improvement_stack, _) = evaluated.statistics[index]
+            third, improvement = offset[id(third_stack)][at], offset[id(improvement_stack)][at]
             statistics["jensen_third_term_min_eig"] = min(
                 statistics["jensen_third_term_min_eig"], float(third[0]))
             statistics["jensen_third_term_max_eig"] = max(
@@ -754,8 +848,12 @@ def _input(inputs: dict, key: str, kind=(int, float)):
     return _field(inputs, key, kind, "reproducer inputs")
 
 
-def _prepare(inputs: dict, kind: str) -> tuple:
-    """Rebuild the prepared inputs of a reproducer record of ``kind``."""
+def _prepare(inputs: dict, kind: str):
+    """Rebuild the prepared inputs of a reproducer record of ``kind``, a stack of one for a stacked kind.
+
+    Every field is read before the operators are built, so a missing or
+    ill-typed field is reported whatever the operators would have raised.
+    """
     dim = _input(inputs, "dim", int)
 
     def matrix(key: str) -> SymmetricMatrix:
@@ -766,19 +864,20 @@ def _prepare(inputs: dict, kind: str) -> tuple:
         phi = map_from_info(_input(inputs, "map", dict), dim)
         return phi, parse_function_spec(_input(inputs, "function", str))
 
-    if kind in ("cdj", "power_chain", "kantorovich"):
+    if kind in _STACKED:
         operator = matrix("matrix")
-        ctx = build_context(operator, *map_and_function(), _input(inputs, "m"), _input(inputs, "M"))
-        return (_kantorovich(ctx),) if kind == "kantorovich" else (ctx,)
+        ctx = _CdjStack((build_context(operator, *map_and_function(), _input(inputs, "m"), _input(inputs, "M")),))
+        return _kantorovich(ctx) if kind == "kantorovich" else ctx
     if kind == "pair":
-        pair = OperatorPair(matrix("A"), matrix("B"))
-        return (pair, *map_and_function(), _input(inputs, "p"), None)
-    rho = DensityOperator(matrix("rho"))
+        first, second, (phi, fn), p = matrix("A"), matrix("B"), map_and_function(), _input(inputs, "p")
+        return (OperatorPair(first, second), phi, fn, p, None)
+    rho = matrix("rho")
     if kind == "trace_bounds":
-        sigma = DensityOperator(matrix("sigma"))
-        relative = OperatorPair(rho.rho, sigma.rho, _input(inputs, "m"), _input(inputs, "M"))
-        return (rho, sigma, _input(inputs, "p"), relative)
-    return (rho, _input(inputs, "p"))
+        sigma, m, M, p = matrix("sigma"), _input(inputs, "m"), _input(inputs, "M"), _input(inputs, "p")
+        rho, sigma = DensityOperator(rho), DensityOperator(sigma)
+        return (rho, sigma, p, OperatorPair(rho.rho, sigma.rho, m, M))
+    p = _input(inputs, "p")
+    return (DensityOperator(rho), p)
 
 
 def replay_failure(record: dict) -> float:
@@ -797,6 +896,7 @@ def replay_failure(record: dict) -> float:
     if kind != family.kind:
         raise BadParameter(f"{label} needs reproducer kind {family.kind!r}, got {kind!r}")
     params = {name: _input(inputs, name) for name in family.params}
-    reports = family.evaluate(*_prepare(inputs, kind), **params)
-    _judge(reports)
-    return next(r.tightness for r in reports if r.label == label)
+    # the family's preconditions raise here: a record is replayed, not skipped
+    _, items = _evaluate_family(family, _prepare(inputs, kind), 1, params, skips=())
+    _judge(items)
+    return next(_outcome(item, 0)[0] for item in items if item.label == label)

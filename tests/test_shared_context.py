@@ -49,22 +49,30 @@ def test_trial_solves_each_input_once(function, max_solves, monkeypatch):
 def test_trial_computes_K_once_and_validates_only_product_results(monkeypatch):
     calls = collections.Counter()
     validate = spectral.SymmetricMatrix.__init__
-    big_k = bounds.K_constant
+    ratio_grid, extremum = bounds._ratio_grid, bounds._ratio_extremum
 
     def counting_init(self, *args, **kwargs):
         calls["validated"] += 1
         validate(self, *args, **kwargs)
 
-    def counting_k(*args):
-        calls["K"] += 1
-        return big_k(*args)
+    def counting_grid(*args):
+        calls["grid"] += 1
+        return ratio_grid(*args)
+
+    def counting_extremum(*args, maximize, grid):
+        calls["K" if maximize else "k"] += 1
+        return extremum(*args, maximize=maximize, grid=grid)
 
     monkeypatch.setattr(spectral.SymmetricMatrix, "__init__", counting_init)
-    monkeypatch.setattr(bounds, "K_constant", counting_k)
+    monkeypatch.setattr(bounds, "_ratio_grid", counting_grid)
+    monkeypatch.setattr(bounds, "_ratio_extremum", counting_extremum)
     run_campaign(TrialSpec(seed=100, dim_range=(6, 6), trials=1,
                            function_set=("power:3",), map_set=("corner",)))
-    # ratio_sandwich and refined_sandwich_chain share the context's K
+    # ratio_sandwich and refined_sandwich_chain share the context's K, and
+    # K and k scan one grid of chord/f
     assert calls["K"] == 1
+    assert calls["k"] == 1
+    assert calls["grid"] == 1
     # 64 measured; sums, differences and scalings (199 more) skip validation
     assert calls["validated"] <= 64
 

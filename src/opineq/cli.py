@@ -49,8 +49,29 @@ def _format_float(value: float) -> str:
     return text
 
 
+# json.dumps(text) for a str, without the encoder's set-up
+_quote = json.encoder.encode_basestring_ascii
+
+
 def render_json(value) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 17-significant-digit floats.
+
+    The report's own types are matched by exact type first; numpy scalars,
+    bools, tuples and subclasses take the ``isinstance`` chain after them.
+    Strings are quoted as ``json.dumps`` quotes them.
+    """
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is list:
+        return "[" + ", ".join([render_json(item) for item in value]) + "]"
+    if kind is dict:
+        parts = [f"{_quote(str(key))}: {render_json(value[key])}" for key in sorted(value)]
+        return "{" + ", ".join(parts) + "}"
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
     if value is None:
         return "null"
     if isinstance(value, bool):

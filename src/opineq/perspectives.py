@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _claim
+from .bounds import _Claims, _columns, _single
 from .errors import (
     BadParameter,
     DegenerateInterval,
@@ -38,6 +38,7 @@ from .functions import (
 from .maps import PositiveUnitalMap
 from .spectral import (
     SymmetricMatrix,
+    _Stack,
     _check_hull,
     _conjugated_power,
     _interval_or_hull,
@@ -141,18 +142,97 @@ def perspective(pair: OperatorPair, fn: ScalarFunction) -> SymmetricMatrix:
     return pair.conjugate(apply_scalar_function(pair.inner, fn))
 
 
+class _PairStack:
+    """k instances' sandwich pairs of one size, with the map, function and order each instance's families read.
+
+    Every pair family (perspective, map commutation, Tsallis and relative
+    operator entropy) is written once, on this: a campaign evaluates it once
+    for a chunk's trials of one size and one map image size, and the public
+    functions on a stack of one pair.  Products (conjugations, natural
+    powers, map images) are computed pair by pair, as for one pair, and
+    stacked.  The scalars of each instance (m, M, the range of f'', f(m),
+    f(M) and the entropy coefficients) are computed in Python, instance by
+    instance, and enter the stacks only through + - * /.  So each matrix of
+    a stack has the bits its pair's gives alone.  ``instances`` holds
+    (pair, phi, fn, p, image) of each instance, ``image`` as in
+    ``_map_commutation``; a family reads only its own.
+    """
+
+    def __init__(self, instances: tuple):
+        self.instances = instances
+        self.pairs = tuple(instance[0] for instance in instances)
+        self.m, self.M = _columns([(pair.m, pair.M) for pair in self.pairs])
+        self.A = _Stack.of([pair.A for pair in self.pairs])
+        self.B = _Stack.of([pair.B for pair in self.pairs])
+        self._squares = self._correction = None
+        self._perspectives: dict = {}
+
+    @classmethod
+    def of(cls, pair: OperatorPair, phi=None, fn=None, p=None) -> "_PairStack":
+        """The stack of one pair."""
+        return cls(((pair, phi, fn, p, None),))
+
+    def ranges(self) -> tuple:
+        """(alpha, beta): the range of each instance's f'' on its [m, M], as factors."""
+        bounds = [second_derivative_range(fn, pair.m, pair.M) for pair, _, fn, _, _ in self.instances]
+        return _columns([(b.alpha, b.beta) for b in bounds])
+
+    def squares(self) -> list:
+        """A natural_2 B of each pair, computed once."""
+        if self._squares is None:
+            self._squares = [pair.natural_power(2.0) for pair in self.pairs]
+        return self._squares
+
+    def perspective(self, position: int) -> SymmetricMatrix:
+        """P_f(A|B) of the pair at ``position`` with its instance's f, computed once."""
+        if position not in self._perspectives:
+            pair, _, fn, _, _ = self.instances[position]
+            self._perspectives[position] = perspective(pair, fn)
+        return self._perspectives[position]
+
+    def chord(self, f_m, f_M) -> _Stack:
+        """((B - mA) f(M) + (MA - B) f(m)) / (M - m), with f(m) and f(M) given per instance."""
+        m, M = self.m, self.M
+        return (1.0 / (M - m)) * ((self.B - m * self.A) * f_M + (M * self.A - self.B) * f_m)
+
+    def correction(self) -> _Stack:
+        """A natural_2 B + Mm A - (M+m) B of each pair, computed once."""
+        if self._correction is None:
+            m, M = self.m, self.M
+            self._correction = _Stack.of(self.squares()) + (M * m) * self.A - (M + m) * self.B
+        return self._correction
+
+    def tsallis_entropies(self, p) -> _Stack:
+        """(A natural_p B - A) / p of each pair, with its instance's checked order p (a factor)."""
+        for pair in self.pairs:
+            _check_positive_interval(pair.m, pair.M)
+        powers = _Stack.of([pair.natural_power(float(order)) for pair, order in zip(self.pairs, p.ravel())])
+        return (1.0 / p) * (powers - self.A)
+
+    def relative_entropies(self) -> _Stack:
+        """A^{1/2} log(A^{-1/2} B A^{-1/2}) A^{1/2} of each pair."""
+        log = catalog_lookup("log")
+        values = []
+        for pair in self.pairs:
+            _check_positive_interval(pair.m, pair.M)
+            values.append(perspective(pair, log))
+        return _Stack.of(values)
+
+
 def perspective_chord(pair: OperatorPair, fn: ScalarFunction) -> SymmetricMatrix:
     """Chord analogue ((B - mA) f(M) + (MA - B) f(m)) / (M - m); linear in (A, B)."""
-    m, M = pair.m, pair.M
-    f_m = float(fn.eval(m))
-    f_M = float(fn.eval(M))
-    return (1.0 / (M - m)) * ((pair.B - m * pair.A) * f_M + (M * pair.A - pair.B) * f_m)
+    stack = _PairStack.of(pair, fn=fn)
+    return stack.chord(*_ends(stack)).matrix(0)
+
+
+def _ends(stack: _PairStack) -> tuple:
+    """(f(m), f(M)) of each instance's function, as factors."""
+    return _columns([(float(fn.eval(pair.m)), float(fn.eval(pair.M))) for pair, _, fn, _, _ in stack.instances])
 
 
 def sandwich_correction(pair: OperatorPair) -> SymmetricMatrix:
     """A natural_2 B + Mm A - (M+m) B; never positive on the sandwich."""
-    m, M = pair.m, pair.M
-    return pair.natural_power(2.0) + (M * m) * pair.A - (M + m) * pair.B
+    return _PairStack.of(pair).correction().matrix(0)
 
 
 def perspective_bounds(pair: OperatorPair, fn: ScalarFunction):
@@ -163,41 +243,36 @@ def perspective_bounds(pair: OperatorPair, fn: ScalarFunction):
     where corr = A natural_2 B + Mm A - (M+m) B is <= 0 on the sandwich, so
     the alpha side really is the upper bound.
     """
-    bounds = second_derivative_range(fn, pair.m, pair.M)
-    diff = perspective(pair, fn) - perspective_chord(pair, fn)
-    corr = sandwich_correction(pair)
+    return _single(_perspective(_PairStack.of(pair, fn=fn)))
+
+
+def _perspective(pairs: _PairStack) -> tuple:
+    alpha, beta = pairs.ranges()
+    diff = _Stack.of([pairs.perspective(j) for j in range(len(pairs.pairs))]) - pairs.chord(*_ends(pairs))
+    corr = pairs.correction()
     return (
-        _claim("perspective_lower", (bounds.beta / 2.0) * corr, diff),
-        _claim("perspective_upper", diff, (bounds.alpha / 2.0) * corr),
+        _Claims("perspective_lower", (beta / 2.0) * corr, diff),
+        _Claims("perspective_upper", diff, (alpha / 2.0) * corr),
     )
 
 
 def tsallis_relative_operator_entropy(pair: OperatorPair, p: float) -> SymmetricMatrix:
     """(A natural_p B - A) / p for p in [-1, 1] excluding 0."""
     p = _validate_entropy_order(p)
-    _check_positive_interval(pair.m, pair.M)
-    return (1.0 / p) * (pair.natural_power(p) - pair.A)
+    return _PairStack.of(pair).tsallis_entropies(np.array(p).reshape(1, 1, 1)).matrix(0)
 
 
 def relative_operator_entropy(pair: OperatorPair) -> SymmetricMatrix:
     """A^{1/2} log(A^{-1/2} B A^{-1/2}) A^{1/2}; the p -> 0 limit of the above."""
-    _check_positive_interval(pair.m, pair.M)
-    return perspective(pair, catalog_lookup("log"))
+    return _PairStack.of(pair).relative_entropies().matrix(0)
 
 
-def _tsallis_chord(pair: OperatorPair, p: float) -> SymmetricMatrix:
-    m, M = pair.m, pair.M
-    coeff_a = M - m + M * m * (M ** (p - 1.0) - m ** (p - 1.0))
-    coeff_b = M**p - m**p
-    return (-1.0 / (p * (M - m))) * (coeff_a * pair.A - coeff_b * pair.B)
-
-
-def _corrected_chord_claims(prefix: str, pair: OperatorPair, value, chord, low: float, high: float):
+def _corrected_chord_claims(prefix: str, pairs: _PairStack, value, chord, low, high) -> tuple:
     """chord - low corr <= value <= chord - high corr, with corr the sandwich correction."""
-    corr = sandwich_correction(pair)
+    corr = pairs.correction()
     return (
-        _claim(f"{prefix}_lower", chord - low * corr, value),
-        _claim(f"{prefix}_upper", value, chord - high * corr),
+        _Claims(f"{prefix}_lower", chord - low * corr, value),
+        _Claims(f"{prefix}_upper", value, chord - high * corr),
     )
 
 
@@ -210,13 +285,24 @@ def tsallis_entropy_bounds(pair: OperatorPair, p: float):
     correction; the coefficients are the extreme values of the deformed
     logarithm's second derivative over [m, M], halved.
     """
-    p = _validate_entropy_order(p)
-    value = tsallis_relative_operator_entropy(pair, p)  # checks 0 < m
-    m, M = pair.m, pair.M
-    chord = _tsallis_chord(pair, p)
-    low_coeff = (1.0 - p) / (2.0 * M ** (2.0 - p))
-    high_coeff = (1.0 - p) / (2.0 * m ** (2.0 - p))
-    return _corrected_chord_claims("tsallis_operator", pair, value, chord, low_coeff, high_coeff)
+    return _single(_tsallis_operator(_PairStack.of(pair, p=p)))
+
+
+def _tsallis_operator(pairs: _PairStack) -> tuple:
+    orders = [_validate_entropy_order(instance[3]) for instance in pairs.instances]
+    p = _columns([(order,) for order in orders])[0]
+    value = pairs.tsallis_entropies(p)  # checks 0 < m
+    coeff_a, coeff_b, low, high = _columns([
+        (
+            M - m + M * m * (M ** (p - 1.0) - m ** (p - 1.0)),
+            M**p - m**p,
+            (1.0 - p) / (2.0 * M ** (2.0 - p)),
+            (1.0 - p) / (2.0 * m ** (2.0 - p)),
+        )
+        for (m, M), p in zip(((pair.m, pair.M) for pair in pairs.pairs), orders)  # each instance's p
+    ])
+    chord = (-1.0 / (p * (pairs.M - pairs.m))) * (coeff_a * pairs.A - coeff_b * pairs.B)
+    return _corrected_chord_claims("tsallis_operator", pairs, value, chord, low, high)
 
 
 def relative_entropy_bounds(pair: OperatorPair):
@@ -226,14 +312,15 @@ def relative_entropy_bounds(pair: OperatorPair):
 
     with Ls = ((B - mA) log M + (MA - B) log m)/(M - m).
     """
-    value = relative_operator_entropy(pair)  # checks 0 < m
-    m, M = pair.m, pair.M
-    chord = (1.0 / (M - m)) * (
-        (pair.B - m * pair.A) * math.log(M) + (M * pair.A - pair.B) * math.log(m)
-    )
-    return _corrected_chord_claims(
-        "relative_entropy", pair, value, chord, 1.0 / (2.0 * M**2), 1.0 / (2.0 * m**2)
-    )
+    return _single(_relative_entropy(_PairStack.of(pair)))
+
+
+def _relative_entropy(pairs: _PairStack) -> tuple:
+    value = pairs.relative_entropies()  # checks 0 < m
+    log_m, log_M = _columns([(math.log(pair.m), math.log(pair.M)) for pair in pairs.pairs])
+    chord = pairs.chord(log_m, log_M)
+    low, high = _columns([(1.0 / (2.0 * pair.M**2), 1.0 / (2.0 * pair.m**2)) for pair in pairs.pairs])
+    return _corrected_chord_claims("relative_entropy", pairs, value, chord, low, high)
 
 
 def map_commutation_bounds(pair: OperatorPair, phi: PositiveUnitalMap, fn: ScalarFunction):
@@ -243,28 +330,33 @@ def map_commutation_bounds(pair: OperatorPair, phi: PositiveUnitalMap, fn: Scala
             + (1/2)(beta Phi(A) natural_2 Phi(B) - alpha Phi(A natural_2 B))
         <= P_f(Phi(A)|Phi(B)) - Phi(P_f(A|B)) <=   ... with alpha and beta swapped.
     """
-    return _map_commutation_bounds(pair, phi, fn, None)
+    return _single(_map_commutation(_PairStack.of(pair, phi, fn)))
 
 
-def _map_commutation_bounds(pair: OperatorPair, phi: PositiveUnitalMap, fn: ScalarFunction, image):
-    """``map_commutation_bounds``, with ``image`` = (Phi(A), Phi(B), their ``_sandwiched`` matrix).
+def _map_commutation(pairs: _PairStack) -> tuple:
+    """``map_commutation_bounds`` on a stack whose maps' images have one size.
 
-    A campaign builds ``image`` and solves its sandwiched matrix beforehand;
-    with ``image`` ``None`` the images are built here.
+    An instance's ``image`` is (Phi(A), Phi(B), their ``_sandwiched``
+    matrix): a campaign builds it and solves its sandwiched matrix
+    beforehand.  Where it is ``None`` the images are built here.
     """
-    bounds = second_derivative_range(fn, pair.m, pair.M)
-    alpha, beta = bounds.alpha, bounds.beta
-    phi_A, phi_B, inner = image or (phi.apply(pair.A), phi.apply(pair.B), None)
-    image_pair = _pair_on(phi_A, phi_B, inner, m=pair.m, M=pair.M)
-    middle = perspective(image_pair, fn) - phi.apply(perspective(pair, fn))
-    nat2_image = image_pair.natural_power(2.0)
-    nat2_preimage = phi.apply(pair.natural_power(2.0))
-    base = (pair.M + pair.m) * phi_B - (pair.M * pair.m) * phi_A
+    alpha, beta = pairs.ranges()
+    images, mapped = [], []
+    for position, (pair, phi, fn, _, image) in enumerate(pairs.instances):
+        phi_A, phi_B, inner = image or (phi.apply(pair.A), phi.apply(pair.B), None)
+        image_pair = _pair_on(phi_A, phi_B, inner, m=pair.m, M=pair.M)
+        images.append(image_pair)
+        mapped.append((perspective(image_pair, fn), phi.apply(pairs.perspective(position))))
+    middle = _Stack.of([p for p, _ in mapped]) - _Stack.of([q for _, q in mapped])
+    nat2_image = _Stack.of([image_pair.natural_power(2.0) for image_pair in images])
+    nat2_preimage = _Stack.of([instance[1].apply(square) for instance, square in zip(pairs.instances, pairs.squares())])
+    phi_A, phi_B = _Stack.of([image.A for image in images]), _Stack.of([image.B for image in images])
+    base = (pairs.M + pairs.m) * phi_B - (pairs.M * pairs.m) * phi_A
     lower = ((alpha - beta) / 2.0) * base + 0.5 * (beta * nat2_image - alpha * nat2_preimage)
     upper = ((beta - alpha) / 2.0) * base + 0.5 * (alpha * nat2_image - beta * nat2_preimage)
     return (
-        _claim("map_commutation_lower", lower, middle),
-        _claim("map_commutation_upper", middle, upper),
+        _Claims("map_commutation_lower", lower, middle),
+        _Claims("map_commutation_upper", middle, upper),
     )
 
 

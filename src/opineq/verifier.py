@@ -61,14 +61,15 @@ from .maps import PositiveUnitalMap, map_from_info
 from .perspectives import (
     DensityOperator,
     OperatorPair,
-    _map_commutation_bounds,
+    _map_commutation,
     _pair_on,
+    _PairStack,
+    _perspective,
+    _relative_entropy,
     _sandwiched,
+    _tsallis_operator,
     _tsallis_trace_bounds,
-    perspective_bounds,
     quantum_tsallis_lower_bound,
-    relative_entropy_bounds,
-    tsallis_entropy_bounds,
     von_neumann_lower_bound,
 )
 from .rng import GOLDEN, MASK64, SplitMix64, _checked_seed, _uniforms, _words, derive_seed
@@ -261,24 +262,16 @@ FAMILIES = {
         lambda kant: (kant.inequality, kant.improvement_psd),
     ),
     "perspective": Family(
-        ("perspective_lower", "perspective_upper"),
-        "pair",
-        lambda pair, phi, fn, p, image: perspective_bounds(pair, fn),
+        ("perspective_lower", "perspective_upper"), "pair", lambda pairs: _perspective(pairs)
     ),
     "map_commutation": Family(
-        ("map_commutation_lower", "map_commutation_upper"),
-        "pair",
-        lambda pair, phi, fn, p, image: _map_commutation_bounds(pair, phi, fn, image),
+        ("map_commutation_lower", "map_commutation_upper"), "pair", lambda pairs: _map_commutation(pairs)
     ),
     "tsallis_operator": Family(
-        ("tsallis_operator_lower", "tsallis_operator_upper"),
-        "pair",
-        lambda pair, phi, fn, p, image: tsallis_entropy_bounds(pair, p),
+        ("tsallis_operator_lower", "tsallis_operator_upper"), "pair", lambda pairs: _tsallis_operator(pairs)
     ),
     "relative_entropy": Family(
-        ("relative_entropy_lower", "relative_entropy_upper"),
-        "pair",
-        lambda pair, phi, fn, p, image: relative_entropy_bounds(pair),
+        ("relative_entropy_lower", "relative_entropy_upper"), "pair", lambda pairs: _relative_entropy(pairs)
     ),
     "tsallis_trace": Family(
         ("tsallis_trace_lower", "tsallis_trace_upper", "tsallis_relative_upper"),
@@ -296,7 +289,8 @@ FAMILIES = {
         lambda rho, p: (von_neumann_lower_bound(rho).floor_check,),
     ),
 }
-_STACKED = ("cdj", "power_chain", "kantorovich")  # the kinds whose families evaluate on stacks
+_CDJ = ("cdj", "power_chain", "kantorovich")  # the kinds whose reproducers rebuild a CdjContext
+_STACKED = (*_CDJ, "pair")  # the kinds whose families evaluate on stacks
 _FAMILY_OF_LABEL = {label: family for family in FAMILIES.values() for label in family.labels}
 
 
@@ -631,7 +625,7 @@ def _prepare_trial(draw: _Draw, built: _Built) -> _Trial:
 def _inputs(trial: _Trial, kind: str) -> dict:
     """The reproducer inputs of kind ``kind`` of a trial (a failure record's ``inputs``, less the params)."""
     draw = trial.draw
-    if kind in _STACKED:
+    if kind in _CDJ:
         return {"kind": kind, "matrix": _matrix_data(draw.matrix), "dim": draw.dim, "map": draw.map_info,
                 "function": draw.fn_spec, "m": draw.m, "M": draw.M}
     if kind == "pair":
@@ -699,24 +693,34 @@ def _evaluate_group(draws: list, builts: list) -> _Evaluated:
         prepared = {"cdj": ctx, "power_chain": ctx, "kantorovich": kant}
         for position, index in enumerate(members):
             statistics[index] = ((third, position), (improvement, position))
-        for name, family in FAMILIES.items():
-            if family.kind in prepared:
-                kept, evaluated = _evaluate_family(family, prepared[family.kind], len(members), family.params)
-                for at, position in enumerate(kept):  # the item's stack holds the kept instances
-                    items[name][members[position]] = (evaluated, at)
+        _evaluate_kinds(prepared, members, items)
+    by_shape: dict = {}
     for index, trial in enumerate(trials):
-        p = trial.draw.p
+        by_shape.setdefault((trial.draw.dim, trial.draw.phi.out_dim), []).append(index)
+    for members in by_shape.values():
+        pairs = _PairStack(tuple(
+            (trials[index].pair, trials[index].draw.phi, trials[index].fn, trials[index].draw.p,
+             trials[index].image) for index in members
+        ))
+        _evaluate_kinds({"pair": pairs}, members, items)
+    # the scalar families: one instance at a time, their checks are scalars computed in Python
+    for index, trial in enumerate(trials):
+        p_pos = abs(trial.draw.p)
         prepared = {
-            "pair": (trial.pair, trial.draw.phi, trial.fn, p, trial.image),
-            "trace_bounds": (trial.rho, trial.sigma, abs(p), trial.relative_pair),
-            "floor": (trial.rho, abs(p)),
+            "trace_bounds": (trial.rho, trial.sigma, p_pos, trial.relative_pair),
+            "floor": (trial.rho, p_pos),
         }
-        for name, family in FAMILIES.items():
-            if family.kind in prepared:
-                kept, evaluated = _evaluate_family(family, prepared[family.kind], 1, family.params)
-                if kept:
-                    items[name][index] = (evaluated, None)
+        _evaluate_kinds(prepared, [index], items)
     return _Evaluated(trials, items, statistics)
+
+
+def _evaluate_kinds(prepared: dict, members: list, items: dict) -> None:
+    """Evaluate every family of the kinds in ``prepared`` on the trials ``members``; record its items."""
+    for name, family in FAMILIES.items():
+        if family.kind in prepared:
+            kept, evaluated = _evaluate_family(family, prepared[family.kind], len(members), family.params)
+            for at, position in enumerate(kept):  # a stacked item holds the kept instances
+                items[name][members[position]] = (evaluated, at)
 
 
 def _evaluate(draws: list, builts: list) -> _Evaluated:
@@ -864,13 +868,13 @@ def _prepare(inputs: dict, kind: str):
         phi = map_from_info(_input(inputs, "map", dict), dim)
         return phi, parse_function_spec(_input(inputs, "function", str))
 
-    if kind in _STACKED:
+    if kind in _CDJ:
         operator = matrix("matrix")
         ctx = _CdjStack((build_context(operator, *map_and_function(), _input(inputs, "m"), _input(inputs, "M")),))
         return _kantorovich(ctx) if kind == "kantorovich" else ctx
     if kind == "pair":
         first, second, (phi, fn), p = matrix("A"), matrix("B"), map_and_function(), _input(inputs, "p")
-        return (OperatorPair(first, second), phi, fn, p, None)
+        return _PairStack.of(OperatorPair(first, second), phi, fn, p)
     rho = matrix("rho")
     if kind == "trace_bounds":
         sigma, m, M, p = matrix("sigma"), _input(inputs, "m"), _input(inputs, "M"), _input(inputs, "p")

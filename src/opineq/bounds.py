@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,12 +135,15 @@ class _Claims:
         self.scales = None
 
 
-class _Chain(NamedTuple):
+class _Chain:
     """A chain of ``_Claims`` on a stack plus the prerequisites its proof leans on; see ``ChainReport``."""
 
-    label: str
-    links: tuple
-    prerequisites: tuple = ()
+    __slots__ = ("label", "links", "prerequisites")
+
+    def __init__(self, label: str, links: tuple, prerequisites: tuple):
+        self.label = label
+        self.links = links
+        self.prerequisites = prerequisites
 
 
 def _parts(item) -> tuple:
@@ -657,32 +659,28 @@ def improved_kantorovich(
     if matrix.min_eigenvalue() <= strict_positivity_tolerance(matrix):
         raise NotPositiveDefinite("the operator must be strictly positive")
     ctx = _power_context(matrix, phi, -1.0, m, M)
-    kant = _improved_kantorovich(_CdjStack((ctx,)))
-    inequality, improvement_psd = _single(kant[:2])
+    *claims, classical_rhs, improved_rhs = _improved_kantorovich(_CdjStack((ctx,)))
+    inequality, improvement_psd = _single(claims)
     return ImprovedKantorovich(
         inequality=inequality,
         improvement_psd=improvement_psd,
         phi_inv=ctx.phi_fA,
-        classical_rhs=kant.classical_rhs.matrix(0),
-        improved_rhs=kant.improved_rhs.matrix(0),
+        classical_rhs=classical_rhs.matrix(0),
+        improved_rhs=improved_rhs.matrix(0),
     )
 
 
-class _Kantorovich(NamedTuple):
-    """``ImprovedKantorovich``'s comparisons and right-hand sides on a stack."""
+def _improved_kantorovich(ctx: _CdjStack) -> tuple:
+    """``improved_kantorovich`` on a stack whose function is t^{-1}.
 
-    inequality: _Claims
-    improvement_psd: _Claims
-    classical_rhs: _Stack
-    improved_rhs: _Stack
-
-
-def _improved_kantorovich(ctx: _CdjStack) -> _Kantorovich:
-    """``improved_kantorovich`` on a stack whose function is t^{-1}."""
+    Returns the ``_Claims`` of ``ImprovedKantorovich``'s ``inequality`` and
+    ``improvement_psd``, then the stacks of its ``classical_rhs`` and
+    ``improved_rhs``.
+    """
     improvement = ctx.column(lambda c: 1.0 / c.M**3) * ctx.correction_image
     classical_rhs = ctx.column(lambda c: (c.M + c.m) ** 2 / (4.0 * c.M * c.m)) * ctx.f_phi_A
     improved_rhs = classical_rhs - improvement
-    return _Kantorovich(
+    return (
         _Claims("improved_kantorovich", ctx.phi_fA, improved_rhs),
         _psd_prerequisite("kantorovich_improvement_psd", improvement),
         classical_rhs,

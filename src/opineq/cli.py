@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from . import worked_examples
 from .bounds import _CdjStack, _claim, _judge, _single, build_context, with_tolerance
 from .errors import BadParameter, OpineqError
 from .functions import parse_function_spec
@@ -232,6 +231,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 
 def cmd_paper_examples(_args) -> int:
+    from . import worked_examples  # only this command reads them, so other commands start faster
+
     results = worked_examples.run_all()
     all_ok = True
     for result in results:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -275,15 +275,14 @@ def _golden_max(fn: Callable, a: float, b: float, width: float) -> float:
     return max(fc, fd, fn(0.5 * (a + b)))
 
 
-def _refined_extremum(ts: np.ndarray, vals: np.ndarray, scalar_fn: Callable, lo: float, hi: float, *,
-                      maximize: bool):
+def _refined_extremum(vals: np.ndarray, scalar_fn: Callable, lo: float, hi: float, *, maximize: bool):
     """The extremum from a grid scan plus golden-section refinement of the best brackets.
 
-    ``vals`` are the function's values at the 4097 equispaced samples ``ts``
-    of [lo, hi] (``_grid``), which locate candidate brackets; the best three
-    local extrema (plus the endpoints, which the grid hits exactly) are
-    refined with ``scalar_fn`` to an interval width of 1e-12 relative to the
-    interval length.
+    ``vals`` are the function's values on ``_grid(lo, hi)``, 4097 equispaced
+    samples that locate candidate brackets; the best three local extrema
+    (plus the endpoints, which the grid hits exactly) are refined with
+    ``scalar_fn`` to an interval width of 1e-12 relative to the interval
+    length.
     """
     work = vals if maximize else -vals
     interior = np.where(
@@ -293,6 +292,7 @@ def _refined_extremum(ts: np.ndarray, vals: np.ndarray, scalar_fn: Callable, lo:
     best = float(work[np.argmax(work)])
     oriented = scalar_fn if maximize else (lambda t: -scalar_fn(t))
     width = 1e-12 * max(1.0, hi - lo)
+    ts = _grid(lo, hi)
     for idx in ranked:
         a = float(ts[max(idx - 1, 0)])
         b = float(ts[min(idx + 1, _GRID_POINTS - 1)])
@@ -322,10 +322,9 @@ def second_derivative_range(fn: ScalarFunction, m: float, M: float) -> IntervalB
     if shape in (Deriv2Shape.NONINCREASING, Deriv2Shape.CONSTANT):
         return IntervalBounds(float(m), float(M), float(fn.deriv2(M)), float(fn.deriv2(m)))
     scalar = lambda t: float(fn.deriv2(t))
-    ts = _grid(m, M)
-    vals = np.asarray(fn.deriv2(ts), dtype=float)
-    alpha = _refined_extremum(ts, vals, scalar, m, M, maximize=False)
-    beta = _refined_extremum(ts, vals, scalar, m, M, maximize=True)
+    vals = np.asarray(fn.deriv2(_grid(m, M)), dtype=float)
+    alpha = _refined_extremum(vals, scalar, m, M, maximize=False)
+    beta = _refined_extremum(vals, scalar, m, M, maximize=True)
     return IntervalBounds(float(m), float(M), alpha, beta)
 
 
@@ -335,33 +334,28 @@ def chord_line(fn: ScalarFunction, m: float, M: float) -> ChordLine:
     return ChordLine(float(m), float(M), float(fn.eval(m)), float(fn.eval(M)))
 
 
-class _RatioGrid(NamedTuple):
-    """chord(t)/f(t) of a function on the grid of [m, M], once f is found positive there."""
+def _ratio_grid(fn: ScalarFunction, m: float, M: float) -> tuple:
+    """(the chord, chord/f on the grid of [m, M]): what ``K_constant`` and ``k_constant`` scan.
 
-    chord: ChordLine
-    ts: np.ndarray
-    ratio: np.ndarray
-
-
-def _ratio_grid(fn: ScalarFunction, m: float, M: float) -> _RatioGrid:
-    """The grid ``K_constant`` and ``k_constant`` scan; f is evaluated on it once."""
+    f is evaluated on the grid once, and must be positive there.
+    """
     chord = chord_line(fn, m, M)
     ts = _grid(m, M)
     fs = np.asarray(fn.eval(ts), dtype=float)
     scale = float(np.abs(fs).max())
     if float(fs.min()) < 1e-13 * scale:
         raise NonPositiveFunction(f"{fn.name} is not strictly positive on [{m}, {M}]")
-    return _RatioGrid(chord, ts, chord(ts) / fs)
+    return chord, chord(ts) / fs
 
 
 def _ratio_extremum(fn: ScalarFunction, m: float, M: float, *, maximize: bool, grid=None) -> float:
     """The extremum of chord/f on [m, M], scanning ``grid`` (``_ratio_grid(fn, m, M)``, built here if ``None``)."""
-    chord, ts, ratio = _ratio_grid(fn, m, M) if grid is None else grid
+    chord, ratio = _ratio_grid(fn, m, M) if grid is None else grid
 
     def scalar(t):
         return chord(t) / float(fn.eval(t))
 
-    return _refined_extremum(ts, ratio, scalar, m, M, maximize=maximize)
+    return _refined_extremum(ratio, scalar, m, M, maximize=maximize)
 
 
 def K_constant(fn: ScalarFunction, m: float, M: float) -> float:

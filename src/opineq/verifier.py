@@ -36,7 +36,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import (
-    CdjContext,
     _CdjStack,
     _build_context,
     _chord,
@@ -56,7 +55,7 @@ from .bounds import (
     build_context,
 )
 from .errors import BadParameter, NonPositiveFunction, NotStrictlyConvex, OpineqError
-from .functions import ScalarFunction, _check_positive_interval, catalog_lookup, parse_function_spec
+from .functions import _check_positive_interval, catalog_lookup, parse_function_spec
 from .maps import PositiveUnitalMap, map_from_info
 from .perspectives import (
     DensityOperator,
@@ -259,7 +258,7 @@ FAMILIES = {
     "kantorovich": Family(
         ("improved_kantorovich", "kantorovich_improvement_psd"),
         "kantorovich",
-        lambda kant: (kant.inequality, kant.improvement_psd),
+        lambda kant: kant[:2],
     ),
     "perspective": Family(
         ("perspective_lower", "perspective_upper"), "pair", lambda pairs: _perspective(pairs)
@@ -593,33 +592,27 @@ def _build(draw: _Draw, phi_A: SymmetricMatrix, phi_base: SymmetricMatrix) -> _B
         return _Built()
 
 
-class _Trial(NamedTuple):
-    """One trial's inputs to its families, each checked by its constructor."""
+class _Trial:
+    """One trial's inputs to its families, each checked by its constructor.
 
-    draw: _Draw
-    fn: ScalarFunction
-    pair: OperatorPair
-    rho: DensityOperator
-    sigma: DensityOperator
-    relative_pair: OperatorPair
-    ctx: CdjContext
-    image: tuple | None  # (Phi(A), Phi(B), their sandwiched matrix) of the sandwich pair, or None
-
-
-def _prepare_trial(draw: _Draw, built: _Built) -> _Trial:
-    """The trial's inputs, built in the order that decides which of its errors comes first.
-
-    The constructors check ``built``'s matrices, or build them where these are ``None``.
+    They are built in the order that decides which of the trial's errors
+    comes first.  The constructors check ``built``'s matrices, or build them
+    where these are ``None``.
     """
-    fn = parse_function_spec(draw.fn_spec)
-    second = _sandwich_second(draw.base, draw.inner) if built.second is None else built.second
-    pair = _pair_on(draw.base, second, built.sandwiched)
-    rho = DensityOperator(draw.rho)
-    sigma = DensityOperator(draw.sigma)
-    relative_pair = _pair_on(rho.rho, sigma.rho, built.relative)
-    ctx = _build_context(draw.matrix, draw.phi, fn, draw.m, draw.M, built.phi_A)
-    image = None if built.image is None else (built.phi_base, built.phi_second, built.image)
-    return _Trial(draw, fn, pair, rho, sigma, relative_pair, ctx, image)
+
+    __slots__ = ("draw", "fn", "pair", "rho", "sigma", "relative_pair", "ctx", "image")
+
+    def __init__(self, draw: _Draw, built: _Built):
+        self.draw = draw
+        self.fn = parse_function_spec(draw.fn_spec)
+        second = _sandwich_second(draw.base, draw.inner) if built.second is None else built.second
+        self.pair = _pair_on(draw.base, second, built.sandwiched)
+        self.rho = DensityOperator(draw.rho)
+        self.sigma = DensityOperator(draw.sigma)
+        self.relative_pair = _pair_on(self.rho.rho, self.sigma.rho, built.relative)
+        self.ctx = _build_context(draw.matrix, draw.phi, self.fn, draw.m, draw.M, built.phi_A)
+        # (Phi(A), Phi(B), their sandwiched matrix) of the sandwich pair, or None
+        self.image = None if built.image is None else (built.phi_base, built.phi_second, built.image)
 
 
 def _inputs(trial: _Trial, kind: str) -> dict:
@@ -666,21 +659,19 @@ def _evaluate_family(family: Family, prepared, size: int, params: dict, skips=No
     return kept, family.evaluate(stack, *_columns(rows), **params)
 
 
-class _Evaluated(NamedTuple):
-    """A chunk's trials and, for each, every family's items with the trial's position in them."""
+def _evaluate_group(draws: list, builts: list) -> tuple:
+    """Every family on the trials of ``draws``.
 
-    trials: list
-    items: dict  # family name -> per trial, (items, position), or None where the family was skipped
-    statistics: list  # per trial, ((third-term stack, position), (improvement stack, position))
-
-
-def _evaluate_group(draws: list, builts: list) -> _Evaluated:
-    """Every family on the trials of ``draws``, each once per stack of same-shape instances.
-
-    The CDJ families run once on the contexts of each Phi(A) size; the
-    others run trial by trial.
+    The CDJ families run once on the contexts of each Phi(A) size.  The
+    others run trial by trial, the pair families on a stack of one pair:
+    stacked across trials they run faster, but a chunk then holds so few
+    objects that the collector's full passes become rare (see ROADMAP item
+    9).  Returns the ``_Trial`` of each trial; for each family, per trial,
+    (its items, the trial's position in them), or ``None`` where the family
+    was skipped; and per trial, (stack, position) of its two statistics'
+    matrices.
     """
-    trials = [_prepare_trial(draw, built) for draw, built in zip(draws, builts)]
+    trials = [_Trial(draw, built) for draw, built in zip(draws, builts)]
     items = {name: [None] * len(trials) for name in FAMILIES}
     statistics = [None] * len(trials)
     by_size: dict = {}
@@ -689,29 +680,20 @@ def _evaluate_group(draws: list, builts: list) -> _Evaluated:
     for members in by_size.values():
         ctx = _CdjStack(tuple(trials[index].ctx for index in members))
         kant = _kantorovich(ctx)
-        third, improvement = _third_term(ctx), kant.classical_rhs - kant.improved_rhs
+        third, improvement = _third_term(ctx), kant[2] - kant[3]
         prepared = {"cdj": ctx, "power_chain": ctx, "kantorovich": kant}
         for position, index in enumerate(members):
             statistics[index] = ((third, position), (improvement, position))
         _evaluate_kinds(prepared, members, items)
-    by_shape: dict = {}
     for index, trial in enumerate(trials):
-        by_shape.setdefault((trial.draw.dim, trial.draw.phi.out_dim), []).append(index)
-    for members in by_shape.values():
-        pairs = _PairStack(tuple(
-            (trials[index].pair, trials[index].draw.phi, trials[index].fn, trials[index].draw.p,
-             trials[index].image) for index in members
-        ))
-        _evaluate_kinds({"pair": pairs}, members, items)
-    # the scalar families: one instance at a time, their checks are scalars computed in Python
-    for index, trial in enumerate(trials):
-        p_pos = abs(trial.draw.p)
+        p, p_pos = trial.draw.p, abs(trial.draw.p)
         prepared = {
+            "pair": _PairStack(((trial.pair, trial.draw.phi, trial.fn, p, trial.image),)),
             "trace_bounds": (trial.rho, trial.sigma, p_pos, trial.relative_pair),
             "floor": (trial.rho, p_pos),
         }
         _evaluate_kinds(prepared, [index], items)
-    return _Evaluated(trials, items, statistics)
+    return trials, items, statistics
 
 
 def _evaluate_kinds(prepared: dict, members: list, items: dict) -> None:
@@ -723,7 +705,7 @@ def _evaluate_kinds(prepared: dict, members: list, items: dict) -> None:
                 items[name][members[position]] = (evaluated, at)
 
 
-def _evaluate(draws: list, builts: list) -> _Evaluated:
+def _evaluate(draws: list, builts: list) -> tuple:
     """``_evaluate_group`` on a chunk, raising the first library error in trial order.
 
     The stacks mix the trials, so on an error the trials run again one at a
@@ -782,21 +764,20 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         built = [_build(draw, *pair) for draw, pair in zip(chunk, images)]
         # the second: the sandwiched matrices, built from first-wave roots
         _decompose_many([m for b in built for m in (b.sandwiched, b.relative, b.image) if m is not None])
-        evaluated = _evaluate(chunk, built)
+        trials, items, trial_statistics = _evaluate(chunk, built)
         # one batched solve judges every comparison and the statistics' spectra
-        stacks = list({id(stack): stack for pairs in evaluated.statistics for stack, _ in pairs}.values())
+        stacks = list({id(stack): stack for pairs in trial_statistics for stack, _ in pairs}.values())
         spectra = iter(_judge(
-            [item for per_trial in evaluated.items.values() for entry in per_trial
-             if entry is not None for item in entry[0]],
+            [item for per_trial in items.values() for entry in per_trial if entry is not None for item in entry[0]],
             *stacks,
         ))
         offset = {}
         for stack in stacks:
             offset[id(stack)] = [next(spectra) for _ in stack.entries]
-        for index, trial in enumerate(evaluated.trials):
+        for index, trial in enumerate(trials):
             draw = trial.draw
             for name, family in FAMILIES.items():
-                entry = evaluated.items[name][index]
+                entry = items[name][index]
                 if entry is None:
                     continue
                 reports, position = entry
@@ -813,7 +794,7 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
                             "slack": float(slack),
                             "inputs": dict(_inputs(trial, family.kind), **family.params),
                         })
-            (third_stack, at), (improvement_stack, _) = evaluated.statistics[index]
+            (third_stack, at), (improvement_stack, _) = trial_statistics[index]
             third, improvement = offset[id(third_stack)][at], offset[id(improvement_stack)][at]
             statistics["jensen_third_term_min_eig"] = min(
                 statistics["jensen_third_term_min_eig"], float(third[0]))

@@ -1,6 +1,7 @@
 """``tools/bench_spectral.py`` merges repeated runs figure by figure, times
-two checkouts in turn in one process, and times the draws and campaigns
-shaped like the benchmark's."""
+two checkouts in turn in one process and compares them by the median of the
+per-repeat ratios, and times the draws and campaigns shaped like the
+benchmark's and like the default ``fuzz``."""
 
 import importlib.util
 import json
@@ -72,12 +73,38 @@ def test_merge_matches_draw_figures_by_n_and_k(tool):
     }
 
 
-def test_best_ms_alternates_which_run_goes_first(tool):
+def test_repeat_ms_alternates_which_run_goes_first(tool):
     calls = []
     runs = [lambda: calls.append("a"), lambda: calls.append("b")]
-    times = tool.best_ms(runs, 4)
+    times = tool.repeat_ms(runs, 4)
     assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
-    assert len(times) == 2 and all(ms >= 0.0 for ms in times)
+    assert [len(t) for t in times] == [4, 4] and all(ms >= 0.0 for t in times for ms in t)
+
+
+def test_ratios_of_later_runs_join_each_cells_earlier_ones(tool):
+    first = {
+        "solve_ms_per_matrix": [dict(n=4, k=1, vectors=False, per_repeat=[0.5, 0.7, 0.9])],
+        "campaign_ms_per_trial": {"2": {"per_repeat": [0.6, 0.8, 0.7]}},
+    }
+    record = tool.merged_ratios(None, first)
+    assert record["runs"] == 1
+    assert record["solve_ms_per_matrix"][0]["median"] == 0.7
+    assert record["campaign_ms_per_trial"]["2"]["median"] == 0.7
+    second = {
+        "solve_ms_per_matrix": [dict(n=8, k=1, vectors=False, per_repeat=[1.0]),
+                                dict(n=4, k=1, vectors=False, per_repeat=[0.1, 0.2])],
+        "campaign_ms_per_trial": {"2": {"per_repeat": [0.1]}, "fuzz": {"per_repeat": [0.6, 0.5]}},
+    }
+    record = tool.merged_ratios(record, second)
+    assert record["runs"] == 2
+    assert record["solve_ms_per_matrix"] == [
+        dict(n=8, k=1, vectors=False, per_repeat=[1.0], median=1.0),
+        dict(n=4, k=1, vectors=False, per_repeat=[0.5, 0.7, 0.9, 0.1, 0.2], median=0.5),
+    ]
+    assert record["campaign_ms_per_trial"] == {
+        "2": {"per_repeat": [0.6, 0.8, 0.7, 0.1], "median": 0.65},
+        "fuzz": {"per_repeat": [0.6, 0.5], "median": 0.55},
+    }
 
 
 def test_two_checkouts_load_side_by_side(tool):
@@ -113,28 +140,48 @@ def test_single_trial_campaign_row_is_shaped_like_campaign_highdim(tool):
         TrialSpec = staticmethod(lambda **spec: spec or types.SimpleNamespace(function_set=("f0", "f1", "f2")))
         run_campaign = staticmethod(specs.append)
 
-    key, run, _, per = tool.campaign_cells(42)[-1]
+    key, run, _, per = next(cell for cell in tool.campaign_cells(42) if cell[0] == "12..16x1")
     run(Recording)()
-    assert key == "12..16x1" and per == tool.SINGLE_TRIAL_CELLS == len(specs) == 10
+    assert per == tool.SINGLE_TRIAL_CELLS == len(specs) == 10
     assert [spec["dim_range"] for spec in specs] == [(12 + i % 5,) * 2 for i in range(10)]
     assert {spec["trials"] for spec in specs} == {1}
     assert [spec["map_set"] for spec in specs[:4]] == [("corner",), ("vecstate",), ("trace",), ("pinching",)]
     assert [spec["function_set"] for spec in specs[:4]] == [("f0",), ("f1",), ("f2",), ("f0",)]
 
 
-def test_against_run_writes_both_labels(tool, monkeypatch, tmp_path):
+def test_fuzz_row_is_the_default_fuzz_spec(tool):
+    specs = []
+
+    class Recording:  # stands in for a checkout's opineq
+        TrialSpec = staticmethod(lambda **spec: spec)
+        run_campaign = staticmethod(specs.append)
+
+    key, run, _, per = tool.campaign_cells(42)[-1]
+    run(Recording)()
+    assert key == "fuzz" and specs == [{"seed": 42}] and per == 200
+
+
+def test_against_run_writes_both_labels_and_the_ratios(tool, monkeypatch, tmp_path):
     monkeypatch.setattr(tool, "SIZES", (12,))
     monkeypatch.setattr(tool, "GROUPS", (1,))
     monkeypatch.setattr(tool, "DRAW_GROUPS", (1,))
     monkeypatch.setattr(tool, "CAMPAIGN_TRIALS", {(2, 2): 1})
     monkeypatch.setattr(tool, "SINGLE_TRIAL_CELLS", 1)
+    monkeypatch.setattr(tool, "FUZZ_SPEC", {"trials": 2})
     out = tmp_path / "bench.json"
     src = str(TOOL.parent.parent / "src")
-    assert tool.main(["--out", str(out), "--src", src, "--against", src]) == 0
-    record = json.loads(out.read_text())
-    for label in ("change", "parent"):
-        assert record[label]["runs"] == 1
-        assert [(row["n"], row["k"], row["vectors"]) for row in record[label]["solve_ms_per_matrix"]] == [
-            (12, 1, False), (12, 1, True)]
-        assert [(row["n"], row["k"]) for row in record[label]["draw_ms_per_matrix"]] == [(12, 1)]
-        assert set(record[label]["campaign_ms_per_trial"]) == {"2", "12..16x1"}
+    for runs in (1, 2):
+        assert tool.main(["--out", str(out), "--src", src, "--against", src]) == 0
+        record = json.loads(out.read_text())
+        for label in ("change", "parent"):
+            assert record[label]["runs"] == 1  # this run's medians
+            assert [(row["n"], row["k"], row["vectors"]) for row in record[label]["solve_ms_per_matrix"]] == [
+                (12, 1, False), (12, 1, True)]
+            assert [(row["n"], row["k"]) for row in record[label]["draw_ms_per_matrix"]] == [(12, 1)]
+            assert set(record[label]["campaign_ms_per_trial"]) == {"2", "12..16x1", "fuzz"}
+        ratio = record["ratio"]
+        assert ratio["runs"] == runs
+        assert [len(row["per_repeat"]) for row in ratio["draw_ms_per_matrix"]] == [60 * runs]  # max(5, 60 // k)
+        assert set(ratio["campaign_ms_per_trial"]) == {"2", "12..16x1", "fuzz"}
+        assert all(len(cell["per_repeat"]) == 3 * runs and cell["median"] > 0.0
+                   for cell in ratio["campaign_ms_per_trial"].values())

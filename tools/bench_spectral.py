@@ -10,15 +10,20 @@ one beside this script), so one copy of this script times two commits.
 is loaded into the same process under another name, and every cell times
 the two checkouts in turn, repeat by repeat, the first of the two switching
 from one repeat to the next, so a slow stretch of the host lands on both
-alike.  Its figures go under the label ``parent``.
+alike.  Its figures go under the label ``parent``.  Each cell's comparison
+is then the median of its per-repeat ratios, ``--label`` time over
+``parent`` time within one repeat, under ``ratio``; a later ``--against``
+run adds its ratios to a cell's and takes the median of them all.  With
+``--against`` the two labels' figures are each cell's median over this
+run's repeats, in place of what the labels held.
 
 The figures go under ``--label`` in the JSON file ``--out``, next to those
 already there, with the seed (42), the Python and numpy versions and the
-core count.  A run under a label that is there already keeps, figure by
-figure, the lower of the old and the new one and counts the runs.  Row
-figures are matched by their key ((n, k, vectors) or (n, k)), so an earlier
-record made with another grid merges cell by cell; a figure that the
-earlier runs lack is taken as it is:
+core count.  Without ``--against``, a run under a label that is there
+already keeps, figure by figure, the lower of the old and the new one and
+counts the runs.  Row figures are matched by their key ((n, k, vectors) or
+(n, k)), so an earlier record made with another grid merges cell by cell; a
+figure that the earlier runs lack is taken as it is:
 
 - ``solve_ms_per_matrix``: ``spectral._solve_many`` on k distinct random
   symmetric n x n matrices, with and without eigenvectors, in ms per matrix
@@ -30,10 +35,12 @@ earlier runs lack is taken as it is:
   in ms per matrix, for n in 4, 8, 12, 13, 16, 24, 32 and k in 1, 5, 60;
 - ``campaign_ms_per_trial``: ``run_campaign`` with the default functions
   and maps at one dimension (2, 4, 8, 16 and 32) and over dims 8..16 (key
-  ``"8..16"``, 24 trials, so a chunk holds several trials of each size), and
+  ``"8..16"``, 24 trials, so a chunk holds several trials of each size),
   ten single-trial campaigns at dims 12..16 with one map and one function
   each in rotation (key ``"12..16x1"``, shaped like the benchmark's
-  ``campaign_highdim``), in ms per trial (the best of a few repeats).
+  ``campaign_highdim``), and the default ``fuzz`` spec (key ``"fuzz"``,
+  dims 2..8 with every default function and map, so a chunk's stacks mix
+  them), in ms per trial (the best of a few repeats).
 
 BLAS is pinned to one thread before numpy loads, as in ``perfbench``.
 """
@@ -43,6 +50,7 @@ import importlib.util
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -59,6 +67,7 @@ DRAW_GROUPS = (1, 5, 60)
 CAMPAIGN_TRIALS = {(2, 2): 24, (4, 4): 24, (8, 8): 24, (16, 16): 10, (32, 32): 2, (8, 16): 24}
 SINGLE_TRIAL_MAPS = ("corner", "vecstate", "trace", "pinching")
 SINGLE_TRIAL_CELLS = 10
+FUZZ_SPEC: dict = {}  # TrialSpec fields of the "fuzz" row besides the seed; none gives the default spec
 
 
 def load_opineq(src, name: str):
@@ -75,17 +84,17 @@ def load_opineq(src, name: str):
     return module
 
 
-def best_ms(runs: list, repeats: int) -> list:
-    """The best time in ms of each of ``runs`` over ``repeats`` rounds that run
-    them all in turn, the first of them switching from round to round."""
-    best = [float("inf")] * len(runs)
+def repeat_ms(runs: list, repeats: int) -> list:
+    """The times in ms of each of ``runs``, one per round, over ``repeats`` rounds
+    that run them all in turn, the first of them switching from round to round."""
+    times: list = [[] for _ in runs]
     for repeat in range(repeats):
         order = range(len(runs)) if repeat % 2 == 0 else reversed(range(len(runs)))
         for i in order:
             start = time.perf_counter()
             runs[i]()
-            best[i] = min(best[i], time.perf_counter() - start)
-    return [ms * 1e3 for ms in best]
+            times[i].append((time.perf_counter() - start) * 1e3)
+    return times
 
 
 def _symmetric_arrays(np, seed: int, n: int, k: int) -> list:
@@ -147,29 +156,68 @@ def campaign_cells(seed: int) -> list:
         ]
         return lambda: [oq.run_campaign(spec) for spec in specs]
     cells.append(("12..16x1", single_trials, 3, SINGLE_TRIAL_CELLS))
+
+    def fuzz(oq):
+        spec = oq.TrialSpec(seed=seed, **FUZZ_SPEC)
+        return lambda: oq.run_campaign(spec)
+    cells.append(("fuzz", fuzz, 3, FUZZ_SPEC.get("trials", 200)))
     return cells
 
 
-def measure(modules: list, np, seed: int) -> list:
-    """One record of figures per module, each cell timed on every module in turn."""
+def measure(modules: list, np, seed: int) -> tuple:
+    """(one record of figures per module, the per-repeat ratios of the first module's
+    time to the second's), each cell timed on every module in turn.
+
+    A figure is the best of the cell's repeats with one module and the
+    median with two; the ratios are ``None`` with one module.
+    """
     figures = [{"solve_ms_per_matrix": [], "draw_ms_per_matrix": [], "campaign_ms_per_trial": {}}
                for _ in modules]
+    ratios = {"solve_ms_per_matrix": [], "draw_ms_per_matrix": [], "campaign_ms_per_trial": {}}
     sections = (("solve_ms_per_matrix", solve_cells(np, seed)), ("draw_ms_per_matrix", draw_cells(seed)),
                 ("campaign_ms_per_trial", campaign_cells(seed)))
+    pick = min if len(modules) == 1 else statistics.median
     for section, cells in sections:
         for key, run, repeats, per in cells:
-            times = best_ms([run(oq) for oq in modules], repeats)
-            for record, ms in zip(figures, times):
+            times = repeat_ms([run(oq) for oq in modules], repeats)
+            for record, ms in zip(figures, (pick(t) / per for t in times)):
                 if isinstance(key, dict):
-                    record[section].append(dict(key, ms=round(ms / per, 4)))
+                    record[section].append(dict(key, ms=round(ms, 4)))
                 else:
-                    record[section][key] = round(ms / per, 3)
-            print(f"{section} {key}: " + "  ".join(f"{ms / per:8.3f}" for ms in times), flush=True)
-    return figures
+                    record[section][key] = round(ms, 3)
+            line = "  ".join(f"{pick(t) / per:8.3f}" for t in times)
+            if len(modules) == 2:
+                per_repeat = [round(a / b, 4) for a, b in zip(*times)]
+                if isinstance(key, dict):
+                    ratios[section].append(dict(key, per_repeat=per_repeat))
+                else:
+                    ratios[section][key] = {"per_repeat": per_repeat}
+                line += f"  ratio {statistics.median(per_repeat):6.3f}"
+            print(f"{section} {key}: {line}", flush=True)
+    return figures, ratios if len(modules) == 2 else None
+
+
+def merged_ratios(earlier, ratios: dict) -> dict:
+    """The ratio record after one more ``--against`` run: each cell's per-repeat
+    ratios added to its earlier ones, rows matched by key, and their median."""
+    earlier = earlier or {}
+    record = {"runs": earlier.get("runs", 0) + 1}
+    for section, cells in ratios.items():
+        before = earlier.get(section, {} if isinstance(cells, dict) else [])
+        if isinstance(cells, dict):
+            rows = {key: {"per_repeat": before.get(key, {}).get("per_repeat", []) + cell["per_repeat"]}
+                    for key, cell in cells.items()}
+        else:
+            old = {_key(row): row["per_repeat"] for row in before}
+            rows = [dict(row, per_repeat=old.get(_key(row), []) + row["per_repeat"]) for row in cells]
+        for cell in rows.values() if isinstance(rows, dict) else rows:
+            cell["median"] = round(statistics.median(cell["per_repeat"]), 4)
+        record[section] = rows
+    return record
 
 
 def _key(row: dict) -> tuple:
-    return tuple((name, value) for name, value in row.items() if name != "ms")
+    return tuple((name, value) for name, value in row.items() if name not in ("ms", "per_repeat", "median"))
 
 
 def merged(earlier, solves: list, campaigns: dict, draws: list = ()) -> dict:
@@ -212,9 +260,13 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cores": os.cpu_count(),
     })
-    for label, figures in zip(labels, measure(modules, np, SEED)):
-        record[label] = merged(record.get(label), figures["solve_ms_per_matrix"],
-                               figures["campaign_ms_per_trial"], figures["draw_ms_per_matrix"])
+    figures, ratios = measure(modules, np, SEED)
+    for label, figure in zip(labels, figures):
+        earlier = None if ratios else record.get(label)  # medians of one --against run replace a label's
+        record[label] = merged(earlier, figure["solve_ms_per_matrix"],
+                               figure["campaign_ms_per_trial"], figure["draw_ms_per_matrix"])
+    if ratios:
+        record["ratio"] = merged_ratios(record.get("ratio"), ratios)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -76,6 +76,8 @@ def load_opineq(src, name: str):
     The package imports its own modules relatively, so two checkouts load
     side by side under two names.
     """
+    for loaded in [module for module in sys.modules if module == name or module.startswith(name + ".")]:
+        del sys.modules[loaded]  # a checkout loaded before under this name
     init = Path(src) / "opineq" / "__init__.py"
     spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
     module = importlib.util.module_from_spec(spec)

@@ -15,6 +15,12 @@ Phi(f(A)) and f(Phi(A)); ratio versions with the extrema of L/f give
 Kantorovich-type sandwiches, a refinement chain for strictly convex f,
 power-function chains and an additive sharpening of the Kantorovich
 inequality.
+
+Each family is written once, on a ``_CdjStack`` of instances whose Phi(A)
+have one size: a campaign evaluates it once for a chunk's trials, and the
+public functions on a stack of one context, whose stacked comparisons
+``_single`` turns into reports.  Each instance's matrices have the bits its
+context gives alone (see ``_CdjStack``).
 """
 
 from __future__ import annotations
@@ -160,20 +166,22 @@ def _judge(reports, *matrices) -> list:
 
     ``reports`` may mix ``InequalityReport``, ``ChainReport``, ``_Claims``
     and ``_Chain`` items with other checks, which are passed over.  The
-    eigenvalues of ``matrices`` (eigenvalues-only, ascending), each a
-    ``SymmetricMatrix`` or a ``_Stack`` of them, are solved in the same call
-    and returned, one array per matrix, in order.
+    eigenvalues of ``matrices`` (eigenvalues-only, ascending) are solved in
+    the same call and returned in order: an array for a ``SymmetricMatrix``,
+    a list of them for a ``_Stack``.
     """
     pending = {}
     for item in reports:
         for report in _parts(item):
-            if isinstance(report, _Claims) and report.gaps is None or (
+            if (isinstance(report, _Claims) and report.gaps is None) or (
                 isinstance(report, InequalityReport) and "verdict" not in vars(report)
             ):
                 pending[id(report)] = report
     arrays = []
-    for item in [*pending.values(), *matrices]:
-        matrix = item.rhs - item.lhs if not isinstance(item, (SymmetricMatrix, _Stack)) else item
+    for report in pending.values():
+        gap = report.rhs - report.lhs
+        arrays.extend(gap.entries if isinstance(gap, _Stack) else (gap.entries,))
+    for matrix in matrices:
         arrays.extend(matrix.entries if isinstance(matrix, _Stack) else (matrix.entries,))
     spectra = _eigenvalues_many(arrays)
     start = 0
@@ -187,7 +195,15 @@ def _judge(reports, *matrices) -> list:
             # a frozen dataclass: fill the cached_property as its first access would
             object.__setattr__(report, "verdict", _loewner_verdict(spectra[start], report.tolerance))
         start = end
-    return spectra[start:]
+    solved = []
+    for matrix in matrices:
+        if isinstance(matrix, _Stack):
+            solved.append(spectra[start:start + len(matrix.entries)])
+            start += len(matrix.entries)
+        else:
+            solved.append(spectra[start])
+            start += 1
+    return solved
 
 
 def _outcome(item, position: int) -> tuple[float, float]:
@@ -319,8 +335,8 @@ class _CdjStack:
     correction-PSD prerequisites, as ``CdjContext.with_function`` does.
     """
 
-    _SHARED = ("m", "M", "phi_A", "phi_A2", "phi_A_sq", "correction_image", "correction_point",
-               "_identity", "_affine", "_psd")
+    # the terms that do not depend on the function, stacked once
+    _TERMS = ("phi_A", "phi_A2", "phi_A_sq", "correction_image", "correction_point", "_identity", "_affine")
 
     def __init__(self, contexts: tuple, shared: "_CdjStack | None" = None):
         self.contexts = contexts
@@ -329,11 +345,11 @@ class _CdjStack:
         self.f_phi_A = _Stack.of([c.f_phi_A for c in contexts])
         if shared is None:
             self.m, self.M = _columns([(c.m, c.M) for c in contexts])
-            for name in self._SHARED[2:-1]:
+            for name in self._TERMS:
                 setattr(self, name, _Stack.of([getattr(c, name) for c in contexts]))
             self._psd = {}  # "image"/"point" -> the claim that that correction is PSD
         else:
-            for name in self._SHARED:
+            for name in ("m", "M", *self._TERMS, "_psd"):
                 setattr(self, name, getattr(shared, name))
 
     def with_function(self, fn: ScalarFunction) -> "_CdjStack":

@@ -168,9 +168,9 @@ class _PairStack:
         self._perspectives: dict = {}
 
     @classmethod
-    def of(cls, pair: OperatorPair, phi=None, fn=None, p=None) -> "_PairStack":
+    def of(cls, pair: OperatorPair, phi=None, fn=None, p=None, image=None) -> "_PairStack":
         """The stack of one pair."""
-        return cls(((pair, phi, fn, p, None),))
+        return cls(((pair, phi, fn, p, image),))
 
     def ranges(self) -> tuple:
         """(alpha, beta): the range of each instance's f'' on its [m, M], as factors."""
@@ -202,12 +202,12 @@ class _PairStack:
             self._correction = _Stack.of(self.squares()) + (M * m) * self.A - (M + m) * self.B
         return self._correction
 
-    def tsallis_entropies(self, p) -> _Stack:
-        """(A natural_p B - A) / p of each pair, with its instance's checked order p (a factor)."""
+    def tsallis_entropies(self, orders: list) -> _Stack:
+        """(A natural_p B - A) / p of each pair, with its instance's checked order p."""
         for pair in self.pairs:
             _check_positive_interval(pair.m, pair.M)
-        powers = _Stack.of([pair.natural_power(float(order)) for pair, order in zip(self.pairs, p.ravel())])
-        return (1.0 / p) * (powers - self.A)
+        powers = _Stack.of([pair.natural_power(order) for pair, order in zip(self.pairs, orders)])
+        return (1.0 / _columns([(order,) for order in orders])[0]) * (powers - self.A)
 
     def relative_entropies(self) -> _Stack:
         """A^{1/2} log(A^{-1/2} B A^{-1/2}) A^{1/2} of each pair."""
@@ -259,7 +259,7 @@ def _perspective(pairs: _PairStack) -> tuple:
 def tsallis_relative_operator_entropy(pair: OperatorPair, p: float) -> SymmetricMatrix:
     """(A natural_p B - A) / p for p in [-1, 1] excluding 0."""
     p = _validate_entropy_order(p)
-    return _PairStack.of(pair).tsallis_entropies(np.array(p).reshape(1, 1, 1)).matrix(0)
+    return _PairStack.of(pair).tsallis_entropies([p]).matrix(0)
 
 
 def relative_operator_entropy(pair: OperatorPair) -> SymmetricMatrix:
@@ -290,8 +290,8 @@ def tsallis_entropy_bounds(pair: OperatorPair, p: float):
 
 def _tsallis_operator(pairs: _PairStack) -> tuple:
     orders = [_validate_entropy_order(instance[3]) for instance in pairs.instances]
+    value = pairs.tsallis_entropies(orders)  # checks 0 < m
     p = _columns([(order,) for order in orders])[0]
-    value = pairs.tsallis_entropies(p)  # checks 0 < m
     coeff_a, coeff_b, low, high = _columns([
         (
             M - m + M * m * (M ** (p - 1.0) - m ** (p - 1.0)),

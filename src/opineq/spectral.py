@@ -266,9 +266,6 @@ class _Stack:
         """max |entry| of each matrix."""
         return np.abs(self.entries).max(axis=(1, 2))
 
-    def take(self, positions) -> "_Stack":
-        return _Stack(self.entries[positions])
-
     def matrix(self, position: int) -> SymmetricMatrix:
         """The matrix at ``position``, as a ``SymmetricMatrix`` that shares the stack's entries."""
         return SymmetricMatrix._elementwise(self.entries[position])

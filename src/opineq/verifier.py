@@ -20,11 +20,16 @@ A, sandwich base, rho and sigma of every trial and the map images Phi(A)
 and Phi(base), which need nothing solved first.  The second holds the three
 sandwiched matrices built from first-wave roots: base^{-1/2} B base^{-1/2},
 rho^{-1/2} sigma rho^{-1/2} and Phi(base)^{-1/2} Phi(B) Phi(base)^{-1/2}.
-Then it evaluates every family of every trial, whose constructors check
-the solved matrices and solve none alone, and judges all the chunk's
-pending comparisons, with the two statistics' matrices, in one
-``bounds._judge`` call.  Every solve gives the bits it would give alone, so
-reports are byte-for-byte the same for any chunking.
+Then it builds each trial's inputs, whose constructors check the solved
+matrices and solve none alone, and evaluates each CDJ family once on the
+stack of the contexts whose Phi(A) share one size (``bounds._CdjStack``);
+the other families run trial by trial, the pair families on a stack of one.
+It judges all the chunk's pending comparisons, with the two statistics'
+matrices, in one ``bounds._judge`` call, and reads each trial's rows off
+the stacks in trial order.  Every solve and every stacked matrix gives the
+bits it would give alone, so reports are byte-for-byte the same for any
+chunking; on a library error the chunk's trials run again one at a time,
+so the first error in trial order is raised.
 """
 
 from __future__ import annotations
@@ -176,18 +181,18 @@ class Family:
 
     ``evaluate(prepared, *scalars, **params)`` returns the family's items,
     one per label, from the prepared inputs of its reproducer ``kind`` (see
-    ``_evaluate_group`` and ``_prepare``).  For the kinds "cdj" and
-    "power_chain" ``prepared`` is a ``bounds._CdjStack`` of one or more
-    instances and the items are stacked; for "kantorovich" it is that
-    stack's ``bounds._Kantorovich``.  The other kinds evaluate one instance:
-    ``prepared`` is a tuple of its inputs, spread as arguments, and those of
-    kind "pair" end in the map images that ``_map_commutation_bounds``
-    reads, or ``None``.  ``scalars(context)``, where given, computes the
-    family's per-instance constants in Python, as floats; an instance whose
-    ``scalars`` raise one of ``skips`` fails the family's preconditions and
-    is left out of its stack, and the others' constants reach ``evaluate``
-    as ``(k, 1, 1)`` factors.  ``params`` are fixed values of this entry
-    that its reproducer records carry too.
+    ``_evaluate_group`` and ``_prepare``).  The items are stacked: for the
+    kinds "cdj" and "power_chain" ``prepared`` is a ``bounds._CdjStack``,
+    for "kantorovich" that stack's ``bounds._improved_kantorovich`` and for
+    "pair" a ``perspectives._PairStack``.  The scalar kinds ("trace_bounds",
+    "floor") evaluate one instance: ``prepared`` is a tuple of its inputs,
+    spread as arguments, and the items are its checks.
+    ``scalars(context)``, where given, computes the family's per-instance
+    constants in Python, as floats; an instance whose ``scalars`` raise one
+    of ``skips`` fails the family's preconditions and is left out of its
+    stack, and the others' constants reach ``evaluate`` as ``(k, 1, 1)``
+    factors.  ``params`` are fixed values of this entry that its reproducer
+    records carry too.
     """
 
     labels: tuple[str, ...]
@@ -688,7 +693,7 @@ def _evaluate_group(draws: list, builts: list) -> tuple:
     for index, trial in enumerate(trials):
         p, p_pos = trial.draw.p, abs(trial.draw.p)
         prepared = {
-            "pair": _PairStack(((trial.pair, trial.draw.phi, trial.fn, p, trial.image),)),
+            "pair": _PairStack.of(trial.pair, trial.draw.phi, trial.fn, p, trial.image),
             "trace_bounds": (trial.rho, trial.sigma, p_pos, trial.relative_pair),
             "floor": (trial.rho, p_pos),
         }
@@ -767,13 +772,10 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         trials, items, trial_statistics = _evaluate(chunk, built)
         # one batched solve judges every comparison and the statistics' spectra
         stacks = list({id(stack): stack for pairs in trial_statistics for stack, _ in pairs}.values())
-        spectra = iter(_judge(
+        spectra = dict(zip(map(id, stacks), _judge(
             [item for per_trial in items.values() for entry in per_trial if entry is not None for item in entry[0]],
             *stacks,
-        ))
-        offset = {}
-        for stack in stacks:
-            offset[id(stack)] = [next(spectra) for _ in stack.entries]
+        )))
         for index, trial in enumerate(trials):
             draw = trial.draw
             for name, family in FAMILIES.items():
@@ -795,7 +797,7 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
                             "inputs": dict(_inputs(trial, family.kind), **family.params),
                         })
             (third_stack, at), (improvement_stack, _) = trial_statistics[index]
-            third, improvement = offset[id(third_stack)][at], offset[id(improvement_stack)][at]
+            third, improvement = spectra[id(third_stack)][at], spectra[id(improvement_stack)][at]
             statistics["jensen_third_term_min_eig"] = min(
                 statistics["jensen_third_term_min_eig"], float(third[0]))
             statistics["jensen_third_term_max_eig"] = max(

@@ -161,7 +161,7 @@ def test_fuzz_row_is_the_default_fuzz_spec(tool):
     assert key == "fuzz" and specs == [{"seed": 42}] and per == 200
 
 
-def test_against_run_writes_both_labels_and_the_ratios(tool, monkeypatch, tmp_path):
+def test_against_run_writes_both_labels(tool, monkeypatch, tmp_path):
     monkeypatch.setattr(tool, "SIZES", (12,))
     monkeypatch.setattr(tool, "GROUPS", (1,))
     monkeypatch.setattr(tool, "DRAW_GROUPS", (1,))

@@ -161,14 +161,11 @@ def _parts(item) -> tuple:
     return (item,)
 
 
-def _judge(reports, *matrices) -> list:
+def _judge(reports) -> None:
     """Judge every pending comparison of ``reports`` in one batched solve.
 
     ``reports`` may mix ``InequalityReport``, ``ChainReport``, ``_Claims``
-    and ``_Chain`` items with other checks, which are passed over.  The
-    eigenvalues of ``matrices`` (eigenvalues-only, ascending) are solved in
-    the same call and returned in order: an array for a ``SymmetricMatrix``,
-    a list of them for a ``_Stack``.
+    and ``_Chain`` items with other checks, which are passed over.
     """
     pending = {}
     for item in reports:
@@ -181,8 +178,6 @@ def _judge(reports, *matrices) -> list:
     for report in pending.values():
         gap = report.rhs - report.lhs
         arrays.extend(gap.entries if isinstance(gap, _Stack) else (gap.entries,))
-    for matrix in matrices:
-        arrays.extend(matrix.entries if isinstance(matrix, _Stack) else (matrix.entries,))
     spectra = _eigenvalues_many(arrays)
     start = 0
     for report in pending.values():
@@ -195,15 +190,6 @@ def _judge(reports, *matrices) -> list:
             # a frozen dataclass: fill the cached_property as its first access would
             object.__setattr__(report, "verdict", _loewner_verdict(spectra[start], report.tolerance))
         start = end
-    solved = []
-    for matrix in matrices:
-        if isinstance(matrix, _Stack):
-            solved.append(spectra[start:start + len(matrix.entries)])
-            start += len(matrix.entries)
-        else:
-            solved.append(spectra[start])
-            start += 1
-    return solved
 
 
 def _outcome(item, position: int) -> tuple[float, float]:
@@ -552,6 +538,15 @@ def _ratio_min(ctx: _CdjStack, small_k) -> tuple:
 
 def _psd_prerequisite(label: str, term: _Stack) -> _Claims:
     return _Claims(label, 0.0 * term, term)
+
+
+def _statistic(label: str, stack: _Stack) -> _Claims:
+    """The claim 0 <= ``stack``, whose gaps are the eigenvalues of ``stack``'s own bytes.
+
+    Its zero side is all +0.0, and x - (+0.0) is x bit for bit, -0.0
+    included (a ``0.0 * stack`` side would turn -0.0 into +0.0).
+    """
+    return _Claims(label, _Stack(np.zeros_like(stack.entries)), stack)
 
 
 def _sandwich_chain(

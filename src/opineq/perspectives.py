@@ -40,8 +40,10 @@ from .spectral import (
     SymmetricMatrix,
     _Stack,
     _check_hull,
+    _congruence,
     _conjugated_power,
     _interval_or_hull,
+    _sandwiched,
     apply_scalar_function,
     eigendecompose,
     matrix_sqrt_inv_sqrt,
@@ -109,7 +111,7 @@ class OperatorPair:
 
     def conjugate(self, middle: SymmetricMatrix) -> SymmetricMatrix:
         """A^{1/2} X A^{1/2}."""
-        return SymmetricMatrix(self.root.entries @ middle.entries @ self.root.entries)
+        return _congruence(self.root, middle.entries)
 
     def natural_power(self, exponent: float) -> SymmetricMatrix:
         """A natural_p B through the cached sandwich decomposition."""
@@ -117,14 +119,6 @@ class OperatorPair:
 
     def __repr__(self):
         return f"OperatorPair(dim={self.A.dim}, m={self.m:.6g}, M={self.M:.6g})"
-
-
-def _sandwiched(first: SymmetricMatrix, second: SymmetricMatrix) -> SymmetricMatrix:
-    """first^{-1/2} second first^{-1/2}, not yet solved: the matrix an ``OperatorPair`` checks."""
-    if first.dim != second.dim:
-        raise ShapeError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    _, inv_root = matrix_sqrt_inv_sqrt(first)
-    return SymmetricMatrix(inv_root.entries @ second.entries @ inv_root.entries)
 
 
 def _pair_on(first: SymmetricMatrix, second: SymmetricMatrix, inner, m=None, M=None) -> OperatorPair:

@@ -732,8 +732,12 @@ def _jacobi_round_robin(stack: np.ndarray, vectors: bool = False):
 # Groups of at least this many distinct same-size solves go to the batched
 # kernel, smaller ones one at a time to the list kernel: _BATCH_MIN for
 # eigenvalues only, _BATCH_MIN_VECTORS with eigenvectors.  Both kernels give
-# the same bits; these are where the batch starts to pay off (measured on
-# stacks of campaign matrices, see CHANGES.md).
+# the same bits.  The batch now pays off below these counts too: on 9
+# random matrices at n = 2..8 it takes 0.47 to 1.07 times the time of nine
+# lone solves for eigenvalues and 0.45 to 0.85 times with eigenvectors.  The
+# constants stay as they are because lowering them changes how many objects
+# the list kernel allocates in `opineq check`, which moves the benchmark's
+# peak RSS through the collector's phase (see CHANGES.md and ROADMAP item 12).
 _BATCH_MIN = 12
 _BATCH_MIN_VECTORS = 8
 # Matrices of at least this size go to the round-robin kernel, alone or
@@ -967,6 +971,19 @@ def _power_values(eigenvalues: np.ndarray, exponent: float):
     return values**exponent, clamped
 
 
+def _congruence(outer: SymmetricMatrix, middle: np.ndarray, clamp_warning: bool = False) -> SymmetricMatrix:
+    """outer @ middle @ outer, in that order, for a symmetric ``outer``: every congruence product S X S."""
+    return SymmetricMatrix(outer.entries @ middle @ outer.entries, clamp_warning=clamp_warning)
+
+
+def _sandwiched(first: SymmetricMatrix, second: SymmetricMatrix) -> SymmetricMatrix:
+    """first^{-1/2} second first^{-1/2}, not yet solved: the matrix an ``OperatorPair`` checks."""
+    if first.dim != second.dim:
+        raise ShapeError(f"dimension mismatch: {first.dim} vs {second.dim}")
+    _, inv_root = matrix_sqrt_inv_sqrt(first)
+    return _congruence(inv_root, second.entries)
+
+
 def natural_power(base: SymmetricMatrix, other: SymmetricMatrix, exponent: float) -> SymmetricMatrix:
     """A^{1/2} (A^{-1/2} B A^{-1/2})^p A^{1/2} for strictly positive A.
 
@@ -975,15 +992,12 @@ def natural_power(base: SymmetricMatrix, other: SymmetricMatrix, exponent: float
     positive semidefinite; eigenvalues within -1e-10 relative of zero are
     clamped to zero and flagged through ``clamp_warning`` on the result.
     """
-    if base.dim != other.dim:
-        raise ShapeError(f"dimension mismatch: {base.dim} vs {other.dim}")
-    root, inv_root = matrix_sqrt_inv_sqrt(base)
-    inner = SymmetricMatrix(inv_root.entries @ other.entries @ inv_root.entries)
-    return _conjugated_power(root, inner, exponent)
+    inner = _sandwiched(base, other)
+    return _conjugated_power(matrix_sqrt_inv_sqrt(base)[0], inner, exponent)
 
 
 def _conjugated_power(root: SymmetricMatrix, inner: SymmetricMatrix, exponent: float) -> SymmetricMatrix:
     """root inner^exponent root, flagged by ``clamp_warning`` when ``_power_values`` clamped."""
     dec = eigendecompose(inner)
     values, clamped = _power_values(dec.eigenvalues, exponent)
-    return SymmetricMatrix(root.entries @ dec.recombine(values) @ root.entries, clamp_warning=clamped)
+    return _congruence(root, dec.recombine(values), clamp_warning=clamped)

@@ -24,12 +24,18 @@ Then it builds each trial's inputs, whose constructors check the solved
 matrices and solve none alone, and evaluates each CDJ family once on the
 stack of the contexts whose Phi(A) share one size (``bounds._CdjStack``);
 the other families run trial by trial, the pair families on a stack of one.
-It judges all the chunk's pending comparisons, with the two statistics'
-matrices, in one ``bounds._judge`` call, and reads each trial's rows off
-the stacks in trial order.  Every solve and every stacked matrix gives the
-bits it would give alone, so reports are byte-for-byte the same for any
-chunking; on a library error the chunk's trials run again one at a time,
-so the first error in trial order is raised.
+It judges all the chunk's comparisons in one ``bounds._judge`` call, the
+two statistics among them as claims against an all-zero stack, and reads
+each trial's rows and statistics off the gaps in trial order.  One
+function, ``_run_chunk``, does all of this.  Every solve and every stacked
+matrix gives the bits it would give alone, so reports are byte-for-byte
+the same for any chunking.
+
+On any library error the campaign runs each of the chunk's trials alone
+through ``_run_chunk`` and raises the first error, so a campaign raises
+what its first failing trial raises alone, whatever the chunking.  Within a
+trial the first error its pipeline meets wins: the waves, the build, the
+constructors, the families, then the judging.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .bounds import (
     _refined_chain,
     _refined_k,
     _small_k,
+    _statistic,
     _third_term,
     build_context,
 )
@@ -70,7 +77,6 @@ from .perspectives import (
     _PairStack,
     _perspective,
     _relative_entropy,
-    _sandwiched,
     _tsallis_operator,
     _tsallis_trace_bounds,
     quantum_tsallis_lower_bound,
@@ -81,8 +87,10 @@ from .spectral import (
     SymmetricMatrix,
     _array_from_payload,
     _checked_tolerance,
+    _congruence,
     _decompose_many,
     _field,
+    _sandwiched,
     matrix_sqrt_inv_sqrt,
 )
 
@@ -191,7 +199,9 @@ class Family:
     constants in Python, as floats; an instance whose ``scalars`` raise one
     of ``skips`` fails the family's preconditions and is left out of its
     stack, and the others' constants reach ``evaluate`` as ``(k, 1, 1)``
-    factors.  ``params`` are fixed values of this entry that its reproducer
+    factors.  Only ``scalars`` can skip: a family without them, each scalar
+    kind included, skips nothing, and any error of its evaluation is
+    raised.  ``params`` are fixed values of this entry that its reproducer
     records carry too.
     """
 
@@ -457,8 +467,7 @@ def _draw_sandwich(seed: int, dim: int, m: float, M: float) -> tuple[_Factor, _F
 
 def _sandwich_second(base: SymmetricMatrix, inner: SymmetricMatrix) -> SymmetricMatrix:
     """B = A^{1/2} C A^{1/2} from A = ``base`` and C = ``inner``."""
-    root, _ = matrix_sqrt_inv_sqrt(base)
-    return SymmetricMatrix(root.entries @ inner.entries @ root.entries)
+    return _congruence(matrix_sqrt_inv_sqrt(base)[0], inner.entries)
 
 
 def _make_map(tag: str, dim: int, rng: SplitMix64):
@@ -565,44 +574,33 @@ def _draw_trial(spec: TrialSpec, index: int) -> _Draw:
 class _Built(NamedTuple):
     """The operators a trial builds from its draws before any check, each solved in a wave.
 
-    With the sandwich pair (A, B), B = A^{1/2} C A^{1/2}.  ``_Built()``, all
-    ``None``, stands for a trial whose build raised.
+    With the sandwich pair (A, B), B = A^{1/2} C A^{1/2}.
     """
 
-    phi_A: SymmetricMatrix | None = None  # first wave: Phi of the drawn A
-    phi_base: SymmetricMatrix | None = None  # first wave: Phi(A) of the sandwich pair
-    second: SymmetricMatrix | None = None  # B, not solved
-    sandwiched: SymmetricMatrix | None = None  # second wave: A^{-1/2} B A^{-1/2}
-    relative: SymmetricMatrix | None = None  # second wave: rho^{-1/2} sigma rho^{-1/2}
-    phi_second: SymmetricMatrix | None = None  # Phi(B), not solved
-    image: SymmetricMatrix | None = None  # second wave: Phi(A)^{-1/2} Phi(B) Phi(A)^{-1/2}
+    phi_A: SymmetricMatrix  # first wave: Phi of the drawn A
+    phi_base: SymmetricMatrix  # first wave: Phi(A) of the sandwich pair
+    second: SymmetricMatrix  # B, not solved
+    sandwiched: SymmetricMatrix  # second wave: A^{-1/2} B A^{-1/2}
+    relative: SymmetricMatrix  # second wave: rho^{-1/2} sigma rho^{-1/2}
+    phi_second: SymmetricMatrix  # Phi(B), not solved
+    image: SymmetricMatrix  # second wave: Phi(A)^{-1/2} Phi(B) Phi(A)^{-1/2}
 
 
 def _build(draw: _Draw, phi_A: SymmetricMatrix, phi_base: SymmetricMatrix) -> _Built:
-    """The trial's operators; the sandwiched ones are built from first-wave roots.
-
-    If a build raises a library error, ``_Built()``: the trial's evaluation
-    then builds the same matrices where the constructors always built them,
-    so the campaign raises the first error in trial order, whatever the
-    waves met first.
-    """
-    try:
-        second = _sandwich_second(draw.base, draw.inner)
-        phi_second = draw.phi.apply(second)
-        return _Built(
-            phi_A, phi_base, second, _sandwiched(draw.base, second), _sandwiched(draw.rho, draw.sigma),
-            phi_second, _sandwiched(phi_base, phi_second),
-        )
-    except OpineqError:
-        return _Built()
+    """The trial's operators; the sandwiched ones are built from first-wave roots."""
+    second = _sandwich_second(draw.base, draw.inner)
+    phi_second = draw.phi.apply(second)
+    return _Built(
+        phi_A, phi_base, second, _sandwiched(draw.base, second), _sandwiched(draw.rho, draw.sigma),
+        phi_second, _sandwiched(phi_base, phi_second),
+    )
 
 
 class _Trial:
-    """One trial's inputs to its families, each checked by its constructor.
+    """One trial's inputs to its families, each checked by its constructor from ``built``'s matrices.
 
-    They are built in the order that decides which of the trial's errors
-    comes first.  The constructors check ``built``'s matrices, or build them
-    where these are ``None``.
+    They are built in the order that decides which of the trial's
+    constructor errors comes first.
     """
 
     __slots__ = ("draw", "fn", "pair", "rho", "sigma", "relative_pair", "ctx", "image")
@@ -610,14 +608,13 @@ class _Trial:
     def __init__(self, draw: _Draw, built: _Built):
         self.draw = draw
         self.fn = parse_function_spec(draw.fn_spec)
-        second = _sandwich_second(draw.base, draw.inner) if built.second is None else built.second
-        self.pair = _pair_on(draw.base, second, built.sandwiched)
+        self.pair = _pair_on(draw.base, built.second, built.sandwiched)
         self.rho = DensityOperator(draw.rho)
         self.sigma = DensityOperator(draw.sigma)
         self.relative_pair = _pair_on(self.rho.rho, self.sigma.rho, built.relative)
         self.ctx = _build_context(draw.matrix, draw.phi, self.fn, draw.m, draw.M, built.phi_A)
-        # (Phi(A), Phi(B), their sandwiched matrix) of the sandwich pair, or None
-        self.image = None if built.image is None else (built.phi_base, built.phi_second, built.image)
+        # (Phi(A), Phi(B), their sandwiched matrix) of the sandwich pair
+        self.image = (built.phi_base, built.phi_second, built.image)
 
 
 def _inputs(trial: _Trial, kind: str) -> dict:
@@ -639,16 +636,12 @@ def _evaluate_family(family: Family, prepared, size: int, params: dict, skips=No
     """(the positions of the ``size`` instances of ``prepared`` that the family's items cover, the items).
 
     ``prepared`` holds the inputs of the family's kind: a stack, or one
-    instance's tuple.  An instance whose ``scalars`` or, for one instance,
-    whose evaluation raises one of ``skips`` (the family's by default) is
-    left out.
+    instance's tuple.  An instance whose ``scalars`` raise one of ``skips``
+    (the family's by default) is left out.
     """
     skips = family.skips if skips is None else skips
     if family.kind not in _STACKED:
-        try:
-            return [0], family.evaluate(*prepared, **params)
-        except skips:
-            return [], ()
+        return [0], family.evaluate(*prepared, **params)
     if family.scalars is None:
         return range(size), family.evaluate(prepared, **params)
     kept, rows = [], []
@@ -673,8 +666,8 @@ def _evaluate_group(draws: list, builts: list) -> tuple:
     objects that the collector's full passes become rare (see ROADMAP item
     9).  Returns the ``_Trial`` of each trial; for each family, per trial,
     (its items, the trial's position in them), or ``None`` where the family
-    was skipped; and per trial, (stack, position) of its two statistics'
-    matrices.
+    was skipped; and per trial, the ``bounds._statistic`` claims of its two
+    statistics and its position in them.
     """
     trials = [_Trial(draw, built) for draw, built in zip(draws, builts)]
     items = {name: [None] * len(trials) for name in FAMILIES}
@@ -685,10 +678,11 @@ def _evaluate_group(draws: list, builts: list) -> tuple:
     for members in by_size.values():
         ctx = _CdjStack(tuple(trials[index].ctx for index in members))
         kant = _kantorovich(ctx)
-        third, improvement = _third_term(ctx), kant[2] - kant[3]
+        third = _statistic("jensen_third_term", _third_term(ctx))
+        improvement = _statistic("kantorovich_improvement", kant[2] - kant[3])
         prepared = {"cdj": ctx, "power_chain": ctx, "kantorovich": kant}
         for position, index in enumerate(members):
-            statistics[index] = ((third, position), (improvement, position))
+            statistics[index] = (third, improvement, position)
         _evaluate_kinds(prepared, members, items)
     for index, trial in enumerate(trials):
         p, p_pos = trial.draw.p, abs(trial.draw.p)
@@ -710,18 +704,26 @@ def _evaluate_kinds(prepared: dict, members: list, items: dict) -> None:
                 items[name][members[position]] = (evaluated, at)
 
 
-def _evaluate(draws: list, builts: list) -> tuple:
-    """``_evaluate_group`` on a chunk, raising the first library error in trial order.
+def _run_chunk(draws: list) -> tuple:
+    """``_evaluate_group``'s results on the trials of ``draws``, every comparison judged.
 
-    The stacks mix the trials, so on an error the trials run again one at a
-    time, each as it would run alone, until the first of them raises.
+    The chunk decomposes its operators in two waves, builds each trial's
+    inputs, evaluates the families and judges every comparison, the
+    statistics' included, in one ``bounds._judge`` call.  A chunk of one
+    trial raises what that trial raises alone.
     """
-    try:
-        return _evaluate_group(draws, builts)
-    except OpineqError:
-        for draw, built in zip(draws, builts):
-            _evaluate_group([draw], [built])
-        raise
+    # the first wave: the drawn matrices and their map images, which need nothing solved
+    images = [(draw.phi.apply(draw.matrix), draw.phi.apply(draw.base)) for draw in draws]
+    _decompose_many([m for draw, pair in zip(draws, images)
+                     for m in (draw.matrix, draw.base, draw.rho, draw.sigma, *pair)])
+    built = [_build(draw, *pair) for draw, pair in zip(draws, images)]
+    # the second: the sandwiched matrices, built from first-wave roots
+    _decompose_many([m for b in built for m in (b.sandwiched, b.relative, b.image)])
+    trials, items, statistics = _evaluate_group(draws, built)
+    claims = [item for per_trial in items.values() for entry in per_trial if entry is not None for item in entry[0]]
+    claims += [stat for third, improvement, _ in statistics for stat in (third, improvement)]
+    _judge(claims)
+    return trials, items, statistics
 
 
 _MATRICES = ("matrix", "base", "inner", "rho", "sigma")  # the _Draw fields drawn as _Factors
@@ -762,20 +764,13 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
         "kantorovich_strict_improvements": 0,
     }
     for chunk in _chunks(spec):
-        # the first wave: the drawn matrices and their map images, which need nothing solved
-        images = [(draw.phi.apply(draw.matrix), draw.phi.apply(draw.base)) for draw in chunk]
-        _decompose_many([m for draw, pair in zip(chunk, images)
-                         for m in (draw.matrix, draw.base, draw.rho, draw.sigma, *pair)])
-        built = [_build(draw, *pair) for draw, pair in zip(chunk, images)]
-        # the second: the sandwiched matrices, built from first-wave roots
-        _decompose_many([m for b in built for m in (b.sandwiched, b.relative, b.image) if m is not None])
-        trials, items, trial_statistics = _evaluate(chunk, built)
-        # one batched solve judges every comparison and the statistics' spectra
-        stacks = list({id(stack): stack for pairs in trial_statistics for stack, _ in pairs}.values())
-        spectra = dict(zip(map(id, stacks), _judge(
-            [item for per_trial in items.values() for entry in per_trial if entry is not None for item in entry[0]],
-            *stacks,
-        )))
+        try:
+            trials, items, trial_statistics = _run_chunk(chunk)
+        except OpineqError:
+            # the stacks mix the trials: run each alone, so the first to raise is raised
+            for draw in chunk:
+                _run_chunk([draw])
+            raise
         for index, trial in enumerate(trials):
             draw = trial.draw
             for name, family in FAMILIES.items():
@@ -796,13 +791,12 @@ def run_campaign(spec: TrialSpec) -> CampaignReport:
                             "slack": float(slack),
                             "inputs": dict(_inputs(trial, family.kind), **family.params),
                         })
-            (third_stack, at), (improvement_stack, _) = trial_statistics[index]
-            third, improvement = spectra[id(third_stack)][at], spectra[id(improvement_stack)][at]
+            third, improvement, at = trial_statistics[index]
             statistics["jensen_third_term_min_eig"] = min(
-                statistics["jensen_third_term_min_eig"], float(third[0]))
+                statistics["jensen_third_term_min_eig"], float(third.gaps[at][0]))
             statistics["jensen_third_term_max_eig"] = max(
-                statistics["jensen_third_term_max_eig"], float(third[-1]))
-            if float(improvement[0]) > 1e-12:
+                statistics["jensen_third_term_max_eig"], float(third.gaps[at][-1]))
+            if float(improvement.gaps[at][0]) > 1e-12:
                 statistics["kantorovich_strict_improvements"] += 1
 
     aggregates: dict = {}

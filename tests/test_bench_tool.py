@@ -1,5 +1,5 @@
-"""``tools/bench_spectral.py`` merges repeated runs figure by figure, times
-two checkouts in turn in one process and compares them by the median of the
+"""``tools/bench_spectral.py`` records each run's medians, times two
+checkouts in turn in one process and compares them by the median of the
 per-repeat ratios, and times the draws and campaigns shaped like the
 benchmark's and like the default ``fuzz``."""
 
@@ -28,49 +28,33 @@ def tool(monkeypatch):
         del sys.modules[name]  # a checkout loaded under another name
 
 
-def _row(n, k, vectors, ms):
-    return {"n": n, "k": k, "vectors": vectors, "ms": ms}
+def _tiny_grid(tool, monkeypatch):
+    """One cell per section, so a run of the tool takes a moment."""
+    monkeypatch.setattr(tool, "SIZES", (12,))
+    monkeypatch.setattr(tool, "GROUPS", (1,))
+    monkeypatch.setattr(tool, "DRAW_GROUPS", (1,))
+    monkeypatch.setattr(tool, "CAMPAIGN_TRIALS", {(2, 2): 1})
+    monkeypatch.setattr(tool, "SINGLE_TRIAL_CELLS", 1)
+    monkeypatch.setattr(tool, "FUZZ_SPEC", {"trials": 2})
 
 
-def test_merge_matches_solve_figures_by_cell_not_by_position(tool):
-    earlier = {
-        "runs": 2,
-        "solve_ms_per_matrix": [_row(4, 1, False, 0.5), _row(4, 1, True, 9.0), _row(32, 36, False, 1.0)],
-        "campaign_ms_per_trial": {"2": 3.0, "16": 20.0},
-    }
-    # a grid with a new cell in front and the old cells in another order
-    solves = [_row(24, 72, False, 2.0), _row(32, 36, False, 3.0), _row(4, 1, True, 8.0), _row(4, 1, False, 0.7)]
-    record = tool.merged(earlier, solves, {"2": 2.5, "16": 25.0, "8..16": 15.0})
-    assert record["runs"] == 3
-    assert record["solve_ms_per_matrix"] == [
-        _row(24, 72, False, 2.0), _row(32, 36, False, 1.0), _row(4, 1, True, 8.0), _row(4, 1, False, 0.5),
-    ]
-    assert record["campaign_ms_per_trial"] == {"2": 2.5, "16": 20.0, "8..16": 15.0}
-
-
-def test_first_run_under_a_label_is_taken_as_it_is(tool):
-    solves = [_row(12, 4, False, 1.25)]
-    assert tool.merged(None, solves, {"2": 3.0}) == {
-        "runs": 1, "solve_ms_per_matrix": solves, "campaign_ms_per_trial": {"2": 3.0},
-    }
-
-
-def test_merge_matches_draw_figures_by_n_and_k(tool):
-    earlier = {
-        "runs": 1,
-        "solve_ms_per_matrix": [_row(4, 1, False, 0.5)],
-        "draw_ms_per_matrix": [{"n": 16, "k": 5, "ms": 0.2}, {"n": 16, "k": 1, "ms": 0.9}],
-        "campaign_ms_per_trial": {"12..16x1": 20.0},
-    }
-    draws = [{"n": 16, "k": 1, "ms": 0.7}, {"n": 32, "k": 60, "ms": 0.1}, {"n": 16, "k": 5, "ms": 0.3}]
-    record = tool.merged(earlier, [_row(4, 1, False, 0.6)], {"12..16x1": 18.0}, draws)
-    assert record == {
-        "runs": 2,
-        "solve_ms_per_matrix": [_row(4, 1, False, 0.5)],
-        "draw_ms_per_matrix": [{"n": 16, "k": 1, "ms": 0.7}, {"n": 32, "k": 60, "ms": 0.1},
-                               {"n": 16, "k": 5, "ms": 0.2}],
-        "campaign_ms_per_trial": {"12..16x1": 18.0},
-    }
+def test_each_run_records_its_own_medians(tool, monkeypatch, tmp_path):
+    # a run's figures are the medians of its repeats, and they replace the
+    # label's: a label keeps no best figure over runs
+    _tiny_grid(tool, monkeypatch)
+    out = tmp_path / "bench.json"
+    for times in ([5.0, 1.0, 3.0], [2.0, 8.0, 4.0]):
+        monkeypatch.setattr(tool, "repeat_ms", lambda runs, repeats, times=times: [list(times) for _ in runs])
+        assert tool.main(["--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        median = sorted(times)[1]
+        assert record["change"] == {
+            "solve_ms_per_matrix": [{"n": 12, "k": 1, "vectors": False, "ms": median},
+                                    {"n": 12, "k": 1, "vectors": True, "ms": median}],
+            "draw_ms_per_matrix": [{"n": 12, "k": 1, "ms": median}],
+            "campaign_ms_per_trial": {"2": median, "12..16x1": median, "fuzz": median / 2},
+        }
+        assert "ratio" not in record
 
 
 def test_repeat_ms_alternates_which_run_goes_first(tool):
@@ -162,19 +146,13 @@ def test_fuzz_row_is_the_default_fuzz_spec(tool):
 
 
 def test_against_run_writes_both_labels(tool, monkeypatch, tmp_path):
-    monkeypatch.setattr(tool, "SIZES", (12,))
-    monkeypatch.setattr(tool, "GROUPS", (1,))
-    monkeypatch.setattr(tool, "DRAW_GROUPS", (1,))
-    monkeypatch.setattr(tool, "CAMPAIGN_TRIALS", {(2, 2): 1})
-    monkeypatch.setattr(tool, "SINGLE_TRIAL_CELLS", 1)
-    monkeypatch.setattr(tool, "FUZZ_SPEC", {"trials": 2})
+    _tiny_grid(tool, monkeypatch)
     out = tmp_path / "bench.json"
     src = str(TOOL.parent.parent / "src")
     for runs in (1, 2):
         assert tool.main(["--out", str(out), "--src", src, "--against", src]) == 0
         record = json.loads(out.read_text())
         for label in ("change", "parent"):
-            assert record[label]["runs"] == 1  # this run's medians
             assert [(row["n"], row["k"], row["vectors"]) for row in record[label]["solve_ms_per_matrix"]] == [
                 (12, 1, False), (12, 1, True)]
             assert [(row["n"], row["k"]) for row in record[label]["draw_ms_per_matrix"]] == [(12, 1)]

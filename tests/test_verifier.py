@@ -7,17 +7,24 @@ import pytest
 
 from opineq import (
     BadParameter,
+    ConvergenceError,
+    DomainViolation,
     InvalidMatrix,
     NotPositiveDefinite,
+    OperatorPair,
     ScalarCheck,
     SpectrumNotEnclosed,
     SplitMix64,
     SymmetricMatrix,
     TrialSpec,
     UnknownFunction,
+    bounds,
+    build_context,
     derive_seed,
     eigendecompose,
+    jensen_third_term,
     loewner_compare,
+    parse_function_spec,
     random_density,
     random_sandwich_pair,
     random_symmetric_with_spectrum,
@@ -600,4 +607,77 @@ class TestDecompositionWaves:
         # with trial 0 broken too, its error comes first, as before the waves
         first_broken.append(True)
         with pytest.raises(UnknownFunction):
+            run_campaign(spec)
+
+
+# the error a fault planted at each stage of a chunk raises: (type, message)
+STAGE_ERRORS = {
+    "first wave": (ConvergenceError, "first wave"),
+    "build": (NotPositiveDefinite, "minimum eigenvalue"),
+    "second wave": (ConvergenceError, "second wave"),
+    "families": (DomainViolation, "power:-1"),
+    "judging": (ConvergenceError, "judging"),
+}
+
+
+def _plant(monkeypatch, spec: TrialSpec, faults: dict) -> None:
+    """Plant in each trial ``index`` of ``faults`` a fault at the stage ``faults[index]``.
+
+    The waves' and the judge's faults raise on a matrix of that trial, found
+    by its bytes: its drawn A in the first wave, rho^{-1/2} sigma rho^{-1/2}
+    in the second, and its Jensen third term among the gaps judged.  The
+    build's and the families' faults are in its draws: an indefinite
+    sandwich base, and a spectrum around 0 on which t^{-1}, the Kantorovich
+    family's function, is undefined.
+    """
+    poison = {}  # the bytes of each faulty trial's matrix -> its stage
+    for index, stage in faults.items():
+        draw = verifier._drawn([verifier._draw_trial(spec, index)])[0]
+        if stage == "first wave":
+            poison[draw.matrix.entries.tobytes()] = stage
+        elif stage == "second wave":
+            poison[OperatorPair(draw.rho, draw.sigma).inner.entries.tobytes()] = stage
+        elif stage == "judging":
+            fn = parse_function_spec(draw.fn_spec)
+            third = jensen_third_term(build_context(draw.matrix, draw.phi, fn, draw.m, draw.M))
+            poison[third.entries.tobytes()] = stage
+
+    def raising(arrays):
+        for a in arrays:
+            if a.tobytes() in poison:
+                raise ConvergenceError(poison[a.tobytes()])
+
+    def broken(draw):
+        stage = faults.get(draw.index)
+        if stage == "build":
+            return draw._replace(base=SymmetricMatrix(np.diag([-1.0, *[1.0] * (draw.dim - 1)])))
+        if stage == "families":
+            spectrum = np.linspace(-0.5, 0.5, draw.dim)
+            return draw._replace(matrix=SymmetricMatrix(np.diag(spectrum)), m=-1.0, M=1.0, fn_spec="power:3")
+        return draw
+
+    decompose, drawn, judged = verifier._decompose_many, verifier._drawn, bounds._eigenvalues_many
+    monkeypatch.setattr(verifier, "_decompose_many", lambda ms: raising([m.entries for m in ms]) or decompose(ms))
+    monkeypatch.setattr(verifier, "_drawn", lambda chunk: [broken(draw) for draw in drawn(chunk)])
+    monkeypatch.setattr(bounds, "_eigenvalues_many", lambda arrays: raising(arrays) or judged(arrays))
+
+
+@pytest.mark.parametrize("first, later", [
+    (a, b) for a in STAGE_ERRORS for b in (None, *STAGE_ERRORS) if a != b
+])
+def test_a_campaign_raises_what_its_first_failing_trial_raises_alone(first, later, monkeypatch):
+    # trial 0 fails at the stage ``first`` and trial 2 at ``later``; whatever
+    # the chunking, trial 0's error is raised
+    spec = TrialSpec(seed=1, dim_range=(3, 3), trials=3, map_set=("corner",))
+    _plant(monkeypatch, spec, {0: first} if later is None else {0: first, 2: later})
+    error, message = STAGE_ERRORS[first]
+    for budget in (1, 27, 2048):  # one trial per chunk, and all three in one
+        monkeypatch.setattr(verifier, "_CHUNK_BUDGET", budget)
+        with pytest.raises(error, match=message):
+            run_campaign(spec)
+    if later is not None:  # trial 2's fault alone raises its own error
+        monkeypatch.undo()
+        _plant(monkeypatch, spec, {2: later})
+        error, message = STAGE_ERRORS[later]
+        with pytest.raises(error, match=message):
             run_campaign(spec)

@@ -13,21 +13,17 @@ from one repeat to the next, so a slow stretch of the host lands on both
 alike.  Its figures go under the label ``parent``.  Each cell's comparison
 is then the median of its per-repeat ratios, ``--label`` time over
 ``parent`` time within one repeat, under ``ratio``; a later ``--against``
-run adds its ratios to a cell's and takes the median of them all.  With
-``--against`` the two labels' figures are each cell's median over this
-run's repeats, in place of what the labels held.
+run adds its ratios to a cell's, rows matched by their key ((n, k,
+vectors) or (n, k)), and takes the median of them all.
 
 The figures go under ``--label`` in the JSON file ``--out``, next to those
 already there, with the seed (42), the Python and numpy versions and the
-core count.  Without ``--against``, a run under a label that is there
-already keeps, figure by figure, the lower of the old and the new one and
-counts the runs.  Row figures are matched by their key ((n, k, vectors) or
-(n, k)), so an earlier record made with another grid merges cell by cell; a
-figure that the earlier runs lack is taken as it is:
+core count.  Each figure is the median of the cell's repeats in this run,
+and a run replaces what its labels held:
 
 - ``solve_ms_per_matrix``: ``spectral._solve_many`` on k distinct random
   symmetric n x n matrices, with and without eigenvectors, in ms per matrix
-  (the best of a few repeats), for n in 4, 8, 12, 13, 16, 24, 32 and k in
+  (the median of a few repeats), for n in 4, 8, 12, 13, 16, 24, 32 and k in
   1, 4, 12, 36, 72;
 - ``draw_ms_per_matrix``: k matrices ``random_symmetric_with_spectrum``
   draws, of size n, drawn as a campaign chunk draws them (one stacked pass
@@ -40,7 +36,7 @@ figure that the earlier runs lack is taken as it is:
   each in rotation (key ``"12..16x1"``, shaped like the benchmark's
   ``campaign_highdim``), and the default ``fuzz`` spec (key ``"fuzz"``,
   dims 2..8 with every default function and map, so a chunk's stacks mix
-  them), in ms per trial (the best of a few repeats).
+  them), in ms per trial (the median of a few repeats).
 
 BLAS is pinned to one thread before numpy loads, as in ``perfbench``.
 """
@@ -170,24 +166,24 @@ def measure(modules: list, np, seed: int) -> tuple:
     """(one record of figures per module, the per-repeat ratios of the first module's
     time to the second's), each cell timed on every module in turn.
 
-    A figure is the best of the cell's repeats with one module and the
-    median with two; the ratios are ``None`` with one module.
+    A figure is the median of the cell's repeats; the ratios are ``None``
+    with one module.
     """
     figures = [{"solve_ms_per_matrix": [], "draw_ms_per_matrix": [], "campaign_ms_per_trial": {}}
                for _ in modules]
     ratios = {"solve_ms_per_matrix": [], "draw_ms_per_matrix": [], "campaign_ms_per_trial": {}}
     sections = (("solve_ms_per_matrix", solve_cells(np, seed)), ("draw_ms_per_matrix", draw_cells(seed)),
                 ("campaign_ms_per_trial", campaign_cells(seed)))
-    pick = min if len(modules) == 1 else statistics.median
     for section, cells in sections:
         for key, run, repeats, per in cells:
             times = repeat_ms([run(oq) for oq in modules], repeats)
-            for record, ms in zip(figures, (pick(t) / per for t in times)):
+            medians = [statistics.median(t) / per for t in times]
+            for record, ms in zip(figures, medians):
                 if isinstance(key, dict):
                     record[section].append(dict(key, ms=round(ms, 4)))
                 else:
                     record[section][key] = round(ms, 3)
-            line = "  ".join(f"{pick(t) / per:8.3f}" for t in times)
+            line = "  ".join(f"{ms:8.3f}" for ms in medians)
             if len(modules) == 2:
                 per_repeat = [round(a / b, 4) for a, b in zip(*times)]
                 if isinstance(key, dict):
@@ -219,26 +215,7 @@ def merged_ratios(earlier, ratios: dict) -> dict:
 
 
 def _key(row: dict) -> tuple:
-    return tuple((name, value) for name, value in row.items() if name not in ("ms", "per_repeat", "median"))
-
-
-def merged(earlier, solves: list, campaigns: dict, draws: list = ()) -> dict:
-    """A label's record after one more run: each figure the lower of the old
-    and the new, row figures matched by their key ((n, k, vectors) or (n, k))."""
-    record = {"solve_ms_per_matrix": solves, "campaign_ms_per_trial": campaigns}
-    if draws:
-        record["draw_ms_per_matrix"] = list(draws)
-    if earlier is None:
-        return {"runs": 1, **record}
-    for section, figures in record.items():
-        if isinstance(figures, dict):
-            before = earlier.get(section, {})
-            record[section] = {key: min(ms, before.get(key, ms)) for key, ms in figures.items()}
-        else:
-            before = {_key(row): row["ms"] for row in earlier.get(section, [])}
-            for row in figures:
-                row["ms"] = min(row["ms"], before.get(_key(row), row["ms"]))
-    return {"runs": earlier["runs"] + 1, **record}
+    return tuple((name, value) for name, value in row.items() if name not in ("per_repeat", "median"))
 
 
 def main(argv=None) -> int:
@@ -263,10 +240,7 @@ def main(argv=None) -> int:
         "cores": os.cpu_count(),
     })
     figures, ratios = measure(modules, np, SEED)
-    for label, figure in zip(labels, figures):
-        earlier = None if ratios else record.get(label)  # medians of one --against run replace a label's
-        record[label] = merged(earlier, figure["solve_ms_per_matrix"],
-                               figure["campaign_ms_per_trial"], figure["draw_ms_per_matrix"])
+    record.update(zip(labels, figures))
     if ratios:
         record["ratio"] = merged_ratios(record.get("ratio"), ratios)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
